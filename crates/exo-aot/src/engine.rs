@@ -201,6 +201,7 @@ impl EngineCounters {
 pub struct AotRequest {
     source: Arc<SuperwordKernel>,
     c_source: Arc<str>,
+    flags: Arc<[&'static str]>,
     isa: IsaKind,
     key: u64,
     tc: &'static Toolchain,
@@ -221,6 +222,54 @@ impl AotRequest {
     pub fn c_source(&self) -> &str {
         &self.c_source
     }
+
+    /// The compiler flags the artifact is built with (before the source
+    /// and output paths).
+    pub fn flags(&self) -> &[&'static str] {
+        &self.flags
+    }
+}
+
+/// The guard heading an AVX2 emission built against the 32-entry register
+/// file: it makes a build without the flags fail loudly, and it makes the
+/// source — and so the content-addressed artifact key — differ from the
+/// 16-register build of the same tape.
+const AVX512VL_GUARD: &str =
+    "#if !defined(__AVX512VL__)\n#error \"this kernel is built for 32 vector registers: -mavx512f -mavx512vl\"\n#endif\n";
+
+/// Whether the host has AVX-512F and AVX-512VL, which give 128/256-bit
+/// code a 32-entry vector register file (xmm/ymm16–31).
+fn host_has_avx512vl() -> bool {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    {
+        std::arch::is_x86_feature_detected!("avx512f") && std::arch::is_x86_feature_detected!("avx512vl")
+    }
+    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    {
+        false
+    }
+}
+
+/// The C source and compiler flags of `source` built for `isa`. With
+/// `avx512vl` the AVX2 emission is also compiled with `-mavx512f
+/// -mavx512vl`: the intrinsics stay 128/256-bit and every FMA lane stays
+/// one fused multiply-add, so the bits are those of the 16-register build
+/// and only register allocation changes, while a guard keeps the two
+/// builds' sources, and so their artifact keys, apart. Runtime detection
+/// in [`AotEngine::prepare`] is the only production caller.
+fn build_spec(source: &SuperwordKernel, isa: IsaKind, avx512vl: bool) -> Result<(String, Vec<&'static str>)> {
+    let mut c_source = emit_superword_c(source, isa, KERNEL_SYMBOL)?;
+    // No FMA contractions of the compiler's own: the bit-identity
+    // contract of the emission.
+    let mut flags = vec!["-O3", "-shared", "-fPIC", "-ffp-contract=off"];
+    if isa == IsaKind::Avx2 {
+        flags.extend(["-mavx2", "-mfma"]);
+        if avx512vl {
+            flags.extend(["-mavx512f", "-mavx512vl"]);
+            c_source.insert_str(0, AVX512VL_GUARD);
+        }
+    }
+    Ok((c_source, flags))
 }
 
 /// Per-key build state: the negative cache, the backoff clock, and the
@@ -386,10 +435,17 @@ impl AotEngine {
     /// [`AotError::ToolchainMissing`] with no host compiler. Both are
     /// permanent for the process: callers cache the decline.
     pub fn prepare(&self, source: &Arc<SuperwordKernel>, isa: IsaKind) -> Result<AotRequest> {
-        let c_source = emit_superword_c(source, isa, KERNEL_SYMBOL)?;
+        let (c_source, flags) = build_spec(source, isa, host_has_avx512vl())?;
         let tc = toolchain().ok_or(AotError::ToolchainMissing)?;
         let key = artifact_key(&c_source, &tc.version);
-        Ok(AotRequest { source: Arc::clone(source), c_source: c_source.into(), isa, key, tc })
+        Ok(AotRequest {
+            source: Arc::clone(source),
+            c_source: c_source.into(),
+            flags: flags.into(),
+            isa,
+            key,
+            tc,
+        })
     }
 
     fn slot(&self, key: u64) -> Arc<KeySlot> {
@@ -617,11 +673,7 @@ fn build(
         (cmd, compile_deadline().min(HANG_FAULT_DEADLINE))
     } else {
         let mut cmd = Command::new(&req.tc.cc);
-        cmd.args(["-O3", "-shared", "-fPIC", "-ffp-contract=off"]);
-        if req.isa == IsaKind::Avx2 {
-            cmd.args(["-mavx2", "-mfma"]);
-        }
-        cmd.arg(&src).arg("-o").arg(&tmp);
+        cmd.args(req.flags.iter()).arg(&src).arg("-o").arg(&tmp);
         (cmd, compile_deadline())
     };
     counters.compiler_invocations.fetch_add(1, Ordering::SeqCst);
@@ -862,6 +914,45 @@ mod tests {
             matches!(&*slot.state.lock().unwrap(), KeyState::Rejected(_)),
             "attempt {MAX_BUILD_ATTEMPTS} is terminal"
         );
+    }
+
+    #[test]
+    fn the_32_and_16_register_builds_differ_in_source_key_and_flags() {
+        use exo_ir::builder::*;
+        use exo_ir::{Expr, MemSpace, ScalarType};
+        let p = proc("uk")
+            .size_arg("KC")
+            .tensor_arg("Ac", ScalarType::F32, vec![var("KC"), int(8)], MemSpace::Dram)
+            .tensor_arg("Bc", ScalarType::F32, vec![var("KC"), int(1)], MemSpace::Dram)
+            .tensor_arg("C", ScalarType::F32, vec![int(8)], MemSpace::Dram)
+            .body(vec![for_(
+                "k",
+                0,
+                var("KC"),
+                vec![for_(
+                    "i",
+                    0,
+                    8,
+                    vec![reduce(
+                        "C",
+                        vec![var("i")],
+                        Expr::mul(read("Ac", vec![var("k"), var("i")]), read("Bc", vec![var("k"), int(0)])),
+                    )],
+                )],
+            )])
+            .build();
+        let sw = exo_codegen::compile(&p).unwrap().to_superword().unwrap();
+        let (wide, wide_flags) = build_spec(&sw, IsaKind::Avx2, true).unwrap();
+        let (narrow, narrow_flags) = build_spec(&sw, IsaKind::Avx2, false).unwrap();
+        // The same kernel behind a guard, so the keys cannot collide.
+        assert_eq!(wide, format!("{AVX512VL_GUARD}{narrow}"));
+        assert_ne!(artifact_key(&wide, "cc 1.0"), artifact_key(&narrow, "cc 1.0"));
+        assert_eq!(narrow_flags, ["-O3", "-shared", "-fPIC", "-ffp-contract=off", "-mavx2", "-mfma"]);
+        assert_eq!(wide_flags, [&narrow_flags[..], &["-mavx512f", "-mavx512vl"]].concat());
+        // Only the AVX2 emission has a 32-register build.
+        for isa in [IsaKind::Neon, IsaKind::Scalar] {
+            assert_eq!(build_spec(&sw, isa, true).unwrap(), build_spec(&sw, isa, false).unwrap());
+        }
     }
 
     #[test]

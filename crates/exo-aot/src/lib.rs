@@ -12,8 +12,8 @@
 //!    (AVX2/NEON intrinsics, or plain C for the portable floor) with the
 //!    packed `(KC, Ac, Bc, C)` kernel ABI.
 //! 2. **Build + cache** — [`AotEngine`] detects a host C compiler
-//!    ([`toolchain()`], overridable with `EXO_CC`), compiles the source to
-//!    a shared object in a per-user artifact directory
+//!    ([`toolchain()`], overridable with `EXO_CC`), compiles the source
+//!    (flags below) to a shared object in a per-user artifact directory
 //!    ([`store::default_artifact_dir`]; override with `EXO_AOT_DIR`),
 //!    and keys artifacts by (source, host arch/OS, compiler version) so
 //!    warm processes `dlopen` without recompiling. Writes are atomic
@@ -39,6 +39,25 @@
 //! closure chain (both contract every FMA lane individually; the scalar
 //! floor is kept two-rounding with `-ffp-contract=off`), so a mid-run
 //! promotion is invisible except for speed.
+//!
+//! ## Compile flags
+//!
+//! Every build passes `-O3 -shared -fPIC -ffp-contract=off`; the AVX2
+//! emission adds `-mavx2 -mfma`. When std's runtime detection reports
+//! AVX-512F and AVX-512VL, the AVX2 emission is also compiled with
+//! `-mavx512f -mavx512vl`, which lets the compiler allocate the 32-entry
+//! vector register file (xmm/ymm16–31): the emitted kernels keep the
+//! whole `C` tile in typed vector locals, and the widest tiles need more
+//! than 16 registers to do so without stack traffic in the `KC` loop. The
+//! bits do not change: the intrinsics stay 128/256-bit, every FMA lane
+//! stays one fused multiply-add, and `-ffp-contract=off` still forbids
+//! any contraction the source does not spell out, so only register
+//! allocation differs from the 16-register build. That source starts with
+//! an `#if !defined(__AVX512VL__) #error` guard, so a build without the
+//! flags fails loudly and the two builds of one tape have different
+//! sources, and therefore different content-addressed artifact keys
+//! ([`AotRequest::key`]). [`AotRequest::flags`] returns a request's
+//! flags. No setting selects either build: the host decides.
 
 #![warn(missing_docs)]
 

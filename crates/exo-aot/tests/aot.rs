@@ -6,6 +6,7 @@
 //! [`exo_aot::native_available`]: on a toolchain-less host (or under the
 //! `EXO_CC`-poisoned CI leg) those tests assert the decline instead.
 
+use std::process::Command;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use exo_aot::{AotEngine, AotError, NativeDispatch};
@@ -111,6 +112,13 @@ fn packed_inputs(mr: usize, nr: usize, kc: usize) -> (Vec<f32>, Vec<f32>, Vec<f3
     (a, b, c0)
 }
 
+/// Operands whose products are inexact in `f32`, so a fused and an
+/// unfused multiply-add round differently.
+fn inexact_inputs(mr: usize, nr: usize, kc: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let fill = |n: usize, seed: f32| (0..n).map(|i| (i as f32 * 0.7311 + seed).sin()).collect::<Vec<f32>>();
+    (fill(kc * mr, 0.1), fill(kc * nr, 0.2), fill(nr * mr, 0.3))
+}
+
 fn scratch_engine(tag: &str) -> (AotEngine, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("exo-aot-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -126,8 +134,10 @@ fn native_agrees_with_the_simd_chain_on_the_matching_isa() {
     match engine.compile(&sw, isa) {
         Ok(native) => {
             let simd = SimdKernel::compile_for(Arc::clone(&sw), isa).expect("the active ISA compiles");
-            for &kc in &[0usize, 1, 2, 17, 64] {
-                let (a, b, c0) = packed_inputs(8, 4, kc);
+            // Edge depths, plus the production depths of the ResNet50
+            // verdicts (kc = 400 and 512).
+            for &kc in &[0usize, 1, 2, 17, 64, 400, 512] {
+                let (a, b, c0) = inexact_inputs(8, 4, kc);
                 let mut c_native = c0.clone();
                 native.run_packed(kc, &a, &b, &mut c_native).unwrap();
                 let mut c_simd = c0.clone();
@@ -140,6 +150,99 @@ fn native_agrees_with_the_simd_chain_on_the_matching_isa() {
         Err(e) => {
             assert!(!exo_aot::native_available(), "compile failed with a toolchain present: {e}");
         }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Every tile the tuner can select compiles warning-free under the
+/// engine's own flags plus `-Wall -Wextra -Werror`, so an unused slot or
+/// a dead local in the emitted C fails here instead of passing silently.
+/// Skipped when no toolchain answers.
+#[test]
+fn every_registry_tile_compiles_with_warnings_as_errors() {
+    let Some(tc) = exo_aot::toolchain() else { return };
+    let (engine, dir) = scratch_engine("strict");
+    std::fs::create_dir_all(&dir).unwrap();
+    let space = exo_tune::DesignSpace::for_isa(exo_isa::neon_f32());
+    let generator = ukernel_gen::MicroKernelGenerator::new(exo_isa::neon_f32());
+    let tiles = space.tile_shapes();
+    assert!(tiles.iter().any(|t| (t.mr, t.nr) == (4, 24)) && tiles.iter().any(|t| (t.mr, t.nr) == (12, 8)));
+    for tile in tiles {
+        let (mr, nr) = (tile.mr, tile.nr);
+        let kernel = generator.generate(mr, nr).unwrap();
+        let sw = kernel.superword.as_ref().unwrap_or_else(|| panic!("{mr}x{nr} superword-compiles"));
+        let req = engine.prepare(sw, active_isa()).unwrap();
+        let src = dir.join(format!("k{mr}x{nr}.c"));
+        std::fs::write(&src, req.c_source()).unwrap();
+        let out = Command::new(&tc.cc)
+            .args(req.flags())
+            .args(["-Wall", "-Wextra", "-Werror"])
+            .arg(&src)
+            .arg("-o")
+            .arg(dir.join(format!("k{mr}x{nr}.so")))
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{mr}x{nr} does not compile strictly with {:?}:\n{}\n{}",
+            req.flags(),
+            String::from_utf8_lossy(&out.stderr),
+            req.c_source()
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A scalar op on one lane of a vector slot — an exact lane extract and
+/// blend in the emitted C — computes the same bits as the simd chain.
+#[test]
+fn lane_accesses_to_vector_slots_stay_bit_exact() {
+    let _serial = serial();
+    let (engine, dir) = scratch_engine("lanes");
+    let p = proc("lanes")
+        .size_arg("KC")
+        .tensor_arg("Ac", ScalarType::F32, vec![var("KC"), int(8)], MemSpace::Dram)
+        .tensor_arg("Bc", ScalarType::F32, vec![var("KC"), int(1)], MemSpace::Dram)
+        .tensor_arg("C", ScalarType::F32, vec![int(8)], MemSpace::Dram)
+        .body(vec![
+            alloc("Ct", ScalarType::F32, vec![int(8)], MemSpace::Neon),
+            for_("i", 0, 8, vec![assign("Ct", vec![var("i")], read("C", vec![var("i")]))]),
+            for_(
+                "k",
+                0,
+                var("KC"),
+                vec![for_(
+                    "i",
+                    0,
+                    8,
+                    vec![reduce(
+                        "Ct",
+                        vec![var("i")],
+                        Expr::mul(read("Ac", vec![var("k"), var("i")]), read("Bc", vec![var("k"), int(0)])),
+                    )],
+                )],
+            ),
+            // One lane read and rewritten in place, then the whole tile
+            // stored: lane 5 through an extract, a divide and a blend.
+            assign("Ct", vec![int(5)], Expr::div(read("Ct", vec![int(5)]), read("Ct", vec![int(2)]))),
+            for_("i", 0, 8, vec![assign("C", vec![var("i")], read("Ct", vec![var("i")]))]),
+        ])
+        .build();
+    let sw = Arc::new(exo_codegen::compile(&p).unwrap().to_superword().unwrap());
+    let isa = active_isa();
+    match engine.compile(&sw, isa) {
+        Ok(native) => {
+            let simd = SimdKernel::compile_for(Arc::clone(&sw), isa).expect("the active ISA compiles");
+            for &kc in &[0usize, 1, 17] {
+                let (a, b, c0) = inexact_inputs(8, 1, kc);
+                let mut c_native = c0.clone();
+                native.run_packed(kc, &a, &b, &mut c_native).unwrap();
+                let mut c_simd = c0.clone();
+                simd.run_packed(kc, &a, &b, &mut c_simd).unwrap();
+                assert_eq!(c_native, c_simd, "native vs simd bits at kc={kc}:\n{}", native.c_source());
+            }
+        }
+        Err(e) => assert!(!exo_aot::native_available(), "compile failed with a toolchain present: {e}"),
     }
     let _ = std::fs::remove_dir_all(dir);
 }
@@ -206,8 +309,7 @@ fn corrupt_artifacts_are_quarantined_and_rebuilt() {
     }
     let (cold, dir) = scratch_engine("corrupt");
     let sw = staged_superword(8, 4);
-    let c_source = exo_codegen::emit_superword_c(&sw, active_isa(), exo_aot::KERNEL_SYMBOL).unwrap();
-    let key = exo_aot::artifact_key(&c_source, &exo_aot::toolchain().unwrap().version);
+    let key = cold.prepare(&sw, active_isa()).unwrap().key();
     let artifact = cold.store().artifact_path(key);
 
     // Plant garbage where the artifact belongs.

@@ -280,21 +280,128 @@ fn emit_expr(e: &Expr, bufs: &BTreeMap<Sym, BufInfo>) -> Result<String> {
 /// past the end of a panel is harmless.
 const PREFETCH_ITERS: i64 = 4;
 
-/// Context shared by the superword-to-C emission helpers: the ISA being
-/// targeted, the C names of the kernel's parameters, and a counter for
-/// unique local temporaries.
-struct SwEmit {
-    isa: IsaKind,
-    scalar_names: Vec<String>,
-    tensor_names: Vec<String>,
-    tmp: usize,
+/// Lanes per vector local on `isa`, widest first. Registers no vector
+/// local claims live in plain `float` locals.
+fn vector_widths(isa: IsaKind) -> &'static [u32] {
+    match isa {
+        IsaKind::Avx2 => &[8, 4],
+        IsaKind::Neon => &[4],
+        IsaKind::Scalar => &[],
+    }
 }
 
-impl SwEmit {
+/// Splits a run of `lanes` registers into `(offset, width)` chunks, widest
+/// vector first and single lanes last — the simd chain's chunking.
+fn chunks(lanes: u32, widths: &[u32]) -> Vec<(u32, u32)> {
+    let mut out = Vec::new();
+    let mut o = 0;
+    for &w in widths.iter().chain(&[1]) {
+        while lanes - o >= w {
+            out.push((o, w));
+            o += w;
+        }
+    }
+    out
+}
+
+/// An FMA whose operand run partially overlaps its accumulator run: its
+/// ascending lane order is semantic, so it never runs as whole vectors.
+fn partial_overlap(a: u32, dst: u32, lanes: u32) -> bool {
+    a != dst && a < dst + lanes && dst < a + lanes
+}
+
+/// The register file partitioned into typed locals ("slots"): slot `s`
+/// holds the registers `runs[s].0 ..runs[s].0 + runs[s].1` in the local
+/// `r<base>`, a vector when the width is above one and a `float`
+/// otherwise.
+struct Slots {
+    runs: Vec<(u32, u32)>,
+    /// Slot index of every register.
+    of: Vec<usize>,
+}
+
+impl Slots {
+    /// Vector slots are the `(base, lanes)` runs of the tape's FMA
+    /// operands, chunked like the simd chain, so each chunk is one whole
+    /// vector and its FMA one instruction. A chunk that overlaps an
+    /// already claimed slot is left to single lanes. Copies are exact and
+    /// split wherever a slot boundary falls, so they claim nothing: a
+    /// register only ever copied or used as a scalar stays a `float`.
+    fn plan(kernel: &SuperwordKernel, isa: IsaKind) -> Slots {
+        let widths = vector_widths(isa);
+        let mut owner: Vec<Option<(u32, u32)>> = vec![None; kernel.n_regs];
+        let mut claim = |start: u32, lanes: u32| {
+            for (o, w) in chunks(lanes, widths) {
+                let run = (start + o) as usize..(start + o + w) as usize;
+                if w > 1 && owner[run.clone()].iter().all(Option::is_none) {
+                    owner[run].fill(Some((start + o, w)));
+                }
+            }
+        };
+        for op in &kernel.ops {
+            if let VOp::VFmaLane { dst, a, lanes, .. } | VOp::VFmaBcast { dst, a, lanes, .. } = op {
+                if !partial_overlap(*a, *dst, *lanes) {
+                    claim(*dst, *lanes);
+                    claim(*a, *lanes);
+                }
+            }
+        }
+        let (mut runs, mut of) = (Vec::new(), Vec::with_capacity(kernel.n_regs));
+        for (r, owned) in owner.iter().enumerate() {
+            let (base, width) = owned.unwrap_or((r as u32, 1));
+            if base == r as u32 {
+                runs.push((base, width));
+            }
+            of.push(runs.len() - 1);
+        }
+        Slots { runs, of }
+    }
+}
+
+/// The scalar operand an FMA run broadcasts.
+enum Bcast {
+    /// A register of the file.
+    Reg(u32),
+    /// A tensor element, as a C lvalue.
+    Mem(String),
+}
+
+/// One emission pass over the tape. Writes to slots outside `live` are
+/// dropped, and every slot an emitted statement reads is recorded in
+/// `read`; [`emit_superword_c`] repeats passes until the two agree, so
+/// every declared local is read and no read local is missing.
+struct SwEmit<'a> {
+    isa: IsaKind,
+    scalar_names: &'a [String],
+    tensor_names: &'a [String],
+    /// Per tensor: whether the tape never stores to it.
+    read_only: &'a [bool],
+    slots: &'a Slots,
+    live: &'a [bool],
+    read: Vec<bool>,
+    /// Per register: the read-only tensor element it currently equals,
+    /// valid until the register is written or a loop boundary is crossed.
+    fwd: Vec<Option<String>>,
+    /// Per slot: written somewhere earlier in program order (an unwritten
+    /// slot still holds its zero initialiser).
+    dirty: Vec<bool>,
+    /// Open dynamic loops.
+    depth: usize,
+    /// Per open loop: the buffers already prefetched in its body.
+    prefetched: Vec<Vec<u16>>,
+    tmp: usize,
+    out: String,
+}
+
+impl SwEmit<'_> {
     fn fresh(&mut self, prefix: &str) -> String {
         let n = self.tmp;
         self.tmp += 1;
         format!("{prefix}{n}")
+    }
+
+    fn line(&mut self, text: &str) {
+        let _ = writeln!(self.out, "{}{text}", indent(self.depth + 1));
     }
 
     /// Renders one affine term sum as a parenthesised `int64_t` expression.
@@ -329,109 +436,380 @@ impl SwEmit {
         self.affine(a.base, a.terms.as_ref())
     }
 
-    /// Emits `lanes` register-file copies to/from a tensor (`LOAD` selects
-    /// the direction), as whole-vector moves with scalar tails. Copies are
-    /// exact, so any chunking computes the same bits.
-    #[allow(clippy::too_many_arguments)]
-    fn copy(&mut self, out: &mut String, pad: &str, load: bool, reg: u32, buf: u16, idx: &str, lanes: u32) {
-        let name = self.tensor_names[buf as usize].clone();
-        let base = self.fresh("i");
-        let _ = writeln!(out, "{pad}const int64_t {base} = {idx};");
-        let mut o = 0u32;
-        let step = |o: u32, width: u32, out: &mut String| {
-            let r = reg + o;
-            let (rd, td) = (format!("&reg[{r}]"), format!("&{name}[{base} + {o}]"));
-            let line = match (self.isa, width, load) {
-                (IsaKind::Avx2, 8, true) => format!("_mm256_storeu_ps({rd}, _mm256_loadu_ps({td}));"),
-                (IsaKind::Avx2, 8, false) => format!("_mm256_storeu_ps({td}, _mm256_loadu_ps({rd}));"),
-                (IsaKind::Avx2, 4, true) => format!("_mm_storeu_ps({rd}, _mm_loadu_ps({td}));"),
-                (IsaKind::Avx2, 4, false) => format!("_mm_storeu_ps({td}, _mm_loadu_ps({rd}));"),
-                (IsaKind::Neon, 4, true) => format!("vst1q_f32({rd}, vld1q_f32({td}));"),
-                (IsaKind::Neon, 4, false) => format!("vst1q_f32({td}, vld1q_f32({rd}));"),
-                (_, _, true) => format!("reg[{r}] = {name}[{base} + {o}];"),
-                (_, _, false) => format!("{name}[{base} + {o}] = reg[{r}];"),
+    /// The tensor element `buf[idx + o]` as a C lvalue.
+    fn elem(&self, buf: u16, idx: &str, o: u32) -> String {
+        let name = &self.tensor_names[buf as usize];
+        if o == 0 {
+            format!("{name}[{idx}]")
+        } else {
+            format!("{name}[{idx} + {o}]")
+        }
+    }
+
+    /// Emits one prefetch per (buffer, loop body), at the first
+    /// loop-carried packed access of each buffer inside a dynamic loop.
+    fn prefetch(&mut self, buf: u16, addr: &SAddr) {
+        let Some(scope) = self.prefetched.last_mut() else { return };
+        if scope.contains(&buf) {
+            return;
+        }
+        if let SAddr::Loop { base, slot, coeff } = addr {
+            scope.push(buf);
+            let ahead = self.affine(*base + coeff * PREFETCH_ITERS, &[(Term::Loop(*slot), *coeff)]);
+            let line = format!("__builtin_prefetch(&{}[{ahead}], 0, 3);", self.tensor_names[buf as usize]);
+            self.line(&line);
+        }
+    }
+
+    fn slot(&self, r: u32) -> (u32, u32) {
+        self.slots.runs[self.slots.of[r as usize]]
+    }
+
+    fn is_live(&self, r: u32) -> bool {
+        self.live[self.slots.of[r as usize]]
+    }
+
+    /// The whole vector slot based at `r`, read.
+    fn vector(&mut self, r: u32) -> String {
+        self.read[self.slots.of[r as usize]] = true;
+        format!("r{r}")
+    }
+
+    /// The current value of register `r` as a scalar C expression, with
+    /// whether it is a tensor element (so `&expr` is its address).
+    /// Lane reads are exact register moves.
+    fn get(&mut self, r: u32) -> (String, bool) {
+        if let Some(elem) = &self.fwd[r as usize] {
+            return (elem.clone(), true);
+        }
+        self.read[self.slots.of[r as usize]] = true;
+        let (base, width) = self.slot(r);
+        let lane = r - base;
+        let expr = match (self.isa, width, lane) {
+            (_, 1, _) => format!("r{base}"),
+            (IsaKind::Neon, _, _) => format!("vgetq_lane_f32(r{base}, {lane})"),
+            (_, 8, 0) => format!("_mm256_cvtss_f32(r{base})"),
+            (_, 8, _) => {
+                format!("_mm256_cvtss_f32(_mm256_permutevar8x32_ps(r{base}, _mm256_set1_epi32({lane})))")
+            }
+            (_, _, 0) => format!("_mm_cvtss_f32(r{base})"),
+            (_, _, _) => format!("_mm_cvtss_f32(_mm_permute_ps(r{base}, {}))", 0x55 * lane),
+        };
+        (expr, false)
+    }
+
+    /// Marks registers `r..r + lanes` as overwritten by something that is
+    /// not a tensor element.
+    fn clobber(&mut self, r: u32, lanes: u32) {
+        for x in r..r + lanes {
+            self.fwd[x as usize] = None;
+            self.dirty[self.slots.of[x as usize]] = true;
+        }
+    }
+
+    /// Writes one register. `value` is built (and its reads recorded)
+    /// only when the slot is live; lane writes are exact blends.
+    fn set(&mut self, r: u32, value: impl FnOnce(&mut Self) -> String) {
+        if self.is_live(r) {
+            let v = value(self);
+            let (base, width) = self.slot(r);
+            let lane = r - base;
+            let line = match (self.isa, width) {
+                (_, 1) => format!("r{base} = {v};"),
+                (IsaKind::Neon, _) => format!("r{base} = vsetq_lane_f32({v}, r{base}, {lane});"),
+                (_, 8) => format!("r{base} = _mm256_blend_ps(r{base}, _mm256_set1_ps({v}), {});", 1 << lane),
+                (_, _) => format!("r{base} = _mm_blend_ps(r{base}, _mm_set1_ps({v}), {});", 1 << lane),
             };
-            let _ = writeln!(out, "{pad}{line}");
-        };
-        let widths: &[u32] = match self.isa {
-            IsaKind::Avx2 => &[8, 4, 1],
-            IsaKind::Neon => &[4, 1],
-            IsaKind::Scalar => &[1],
-        };
-        for &w in widths {
-            while lanes - o >= w {
-                step(o, w, out);
-                o += w;
-                if w > 1 && lanes - o < w {
-                    break;
+            self.line(&line);
+        }
+        self.clobber(r, 1);
+    }
+
+    /// Emits `lanes` register-file copies to or from a tensor (`load`
+    /// selects the direction), split at slot boundaries: whole-vector
+    /// moves, 128-bit halves of a 256-bit slot, and single lanes. Copies
+    /// are exact, so any split computes the same bits.
+    fn copy(&mut self, load: bool, reg: u32, buf: u16, idx: &str, lanes: u32) {
+        let mut o = 0;
+        while o < lanes {
+            let r = reg + o;
+            let (base, width) = self.slot(r);
+            let lane = r - base;
+            let step = if width > 1 && lane == 0 && lanes - o >= width {
+                width
+            } else if self.isa == IsaKind::Avx2 && width == 8 && lane.is_multiple_of(4) && lanes - o >= 4 {
+                4
+            } else {
+                1
+            };
+            let elem = self.elem(buf, idx, o);
+            if step == 1 {
+                if load {
+                    self.set(r, |_| elem.clone());
+                    if self.read_only[buf as usize] {
+                        self.fwd[r as usize] = Some(elem);
+                    }
+                } else {
+                    let (v, _) = self.get(r);
+                    self.line(&format!("{elem} = {v};"));
                 }
+                o += 1;
+                continue;
+            }
+            let (vt, half) = (format!("r{base}"), lane / 4);
+            let line = match (self.isa, step, width, load) {
+                (IsaKind::Neon, _, _, true) => format!("{vt} = vld1q_f32(&{elem});"),
+                (IsaKind::Neon, _, _, false) => format!("vst1q_f32(&{elem}, {vt});"),
+                (_, 8, _, true) => format!("{vt} = _mm256_loadu_ps(&{elem});"),
+                (_, 8, _, false) => format!("_mm256_storeu_ps(&{elem}, {vt});"),
+                (_, _, 4, true) => format!("{vt} = _mm_loadu_ps(&{elem});"),
+                (_, _, 4, false) => format!("_mm_storeu_ps(&{elem}, {vt});"),
+                (_, _, _, true) => {
+                    format!("{vt} = _mm256_insertf128_ps({vt}, _mm_loadu_ps(&{elem}), {half});")
+                }
+                (_, _, _, false) => format!("_mm_storeu_ps(&{elem}, _mm256_extractf128_ps({vt}, {half}));"),
+            };
+            if !load {
+                self.vector(base);
+                self.line(&line);
+            } else {
+                if self.is_live(r) {
+                    self.line(&line);
+                }
+                self.clobber(r, step);
+                if self.read_only[buf as usize] {
+                    for i in 0..step {
+                        self.fwd[(r + i) as usize] = Some(self.elem(buf, idx, o + i));
+                    }
+                }
+            }
+            o += step;
+        }
+    }
+
+    /// Emits `reg[dst+i] = fma(reg[a+i], b, reg[dst+i])` for `i in
+    /// 0..lanes`, mirroring the simd chain exactly: one whole-vector FMA
+    /// per chunk whose accumulator and operand are both vector slots
+    /// (against one broadcast of `b`), single lanes elsewhere, strictly
+    /// ascending when the operand run partially overlaps the accumulator
+    /// run. Every lane is a single correctly-rounded fused multiply-add on
+    /// the native ISAs (bit-equal to the chain's) and an explicit
+    /// two-rounding multiply-then-add on the scalar floor (bit-equal to
+    /// the superword tier, which `-ffp-contract=off` keeps the compiler
+    /// from re-fusing).
+    fn fma_run(&mut self, dst: u32, a: u32, b: Bcast, lanes: u32) {
+        let widths = if partial_overlap(a, dst, lanes) { &[][..] } else { vector_widths(self.isa) };
+        let steps: Vec<(u32, u32, bool)> = chunks(lanes, widths)
+            .into_iter()
+            .map(|(o, w)| {
+                (o, w, w > 1 && self.slot(dst + o) == (dst + o, w) && self.slot(a + o) == (a + o, w))
+            })
+            .collect();
+        let mut vec_width = 0;
+        let mut any_lane = false;
+        for &(o, w, whole) in &steps {
+            let live = (0..w).any(|i| self.is_live(dst + o + i));
+            if whole && live {
+                vec_width = vec_width.max(w);
+            }
+            any_lane |= !whole && live;
+        }
+        let (b_expr, b_mem) = match (vec_width > 0 || any_lane, b) {
+            (false, _) => (String::new(), false),
+            (true, Bcast::Reg(r)) => self.get(r),
+            (true, Bcast::Mem(elem)) => (elem, true),
+        };
+        let bv = if any_lane {
+            let bv = self.fresh("bv");
+            self.line(&format!("const float {bv} = {b_expr};"));
+            bv
+        } else {
+            String::new()
+        };
+        let vb = if vec_width > 0 {
+            let vb = self.fresh("vb");
+            let (ty, init) = match (self.isa, vec_width, b_mem) {
+                (IsaKind::Neon, _, true) => ("float32x4_t", format!("vld1q_dup_f32(&{b_expr})")),
+                (IsaKind::Neon, _, false) => ("float32x4_t", format!("vdupq_n_f32({b_expr})")),
+                (_, 8, true) => ("__m256", format!("_mm256_broadcast_ss(&{b_expr})")),
+                (_, 8, false) => ("__m256", format!("_mm256_set1_ps({b_expr})")),
+                (_, _, true) => ("__m128", format!("_mm_broadcast_ss(&{b_expr})")),
+                (_, _, false) => ("__m128", format!("_mm_set1_ps({b_expr})")),
+            };
+            self.line(&format!("const {ty} {vb} = {init};"));
+            vb
+        } else {
+            String::new()
+        };
+        for (o, w, whole) in steps {
+            let (d, s) = (dst + o, a + o);
+            if !whole {
+                for i in 0..w {
+                    let scalar = self.isa == IsaKind::Scalar;
+                    self.set(d + i, |e| {
+                        let (acc, x) = (e.get(d + i).0, e.get(s + i).0);
+                        if scalar {
+                            format!("{acc} + {x} * {bv}")
+                        } else {
+                            format!("fmaf({x}, {bv}, {acc})")
+                        }
+                    });
+                }
+                continue;
+            }
+            if self.is_live(d) {
+                let x = self.vector(s);
+                let line = match (self.isa, w) {
+                    (IsaKind::Neon, _) => format!("r{d} = vfmaq_f32(r{d}, {x}, {vb});"),
+                    (_, 8) => format!("r{d} = _mm256_fmadd_ps({x}, {vb}, r{d});"),
+                    (_, _) if vec_width == 8 => {
+                        format!("r{d} = _mm_fmadd_ps({x}, _mm256_castps256_ps128({vb}), r{d});")
+                    }
+                    (_, _) => format!("r{d} = _mm_fmadd_ps({x}, {vb}, r{d});"),
+                };
+                self.line(&line);
+            }
+            self.clobber(d, w);
+        }
+    }
+
+    /// Zeroes `len` registers from `base`, skipping slots that still hold
+    /// their zero initialiser (never written, and no loop is open).
+    fn zero(&mut self, base: u32, len: u32) {
+        let mut o = 0;
+        while o < len {
+            let r = base + o;
+            let (slot_base, width) = self.slot(r);
+            let pristine = self.depth == 0 && !self.dirty[self.slots.of[r as usize]];
+            if width > 1 && r == slot_base && len - o >= width {
+                if self.is_live(r) && !pristine {
+                    let zero = zero_value(self.isa, width);
+                    self.line(&format!("r{r} = {zero};"));
+                }
+                self.clobber(r, width);
+                o += width;
+            } else {
+                if !pristine {
+                    self.set(r, |_| "0.0f".to_string());
+                }
+                o += 1;
             }
         }
     }
 
-    /// Emits `reg[dst+i] = fma(reg[a+i], bval, reg[dst+i])` for
-    /// `i in 0..lanes`, mirroring the simd chain exactly: whole-vector
-    /// FMAs with contracted scalar tails when the runs are disjoint (or
-    /// identical), strict ascending scalar lanes when the operand run
-    /// partially overlaps the accumulator run. Every lane is a single
-    /// correctly-rounded fused multiply-add on the native ISAs (bit-equal
-    /// to the chain's) and an explicit two-rounding multiply-then-add on
-    /// the scalar floor (bit-equal to the superword tier, which
-    /// `-ffp-contract=off` keeps the compiler from re-fusing).
-    fn fma_run(&mut self, out: &mut String, pad: &str, dst: u32, a: u32, bval: &str, lanes: u32) {
-        let in_order = a != dst && overlaps_u32(a, lanes, dst, lanes);
-        if self.isa == IsaKind::Scalar || in_order {
-            for i in 0..lanes {
-                let (d, s) = (dst + i, a + i);
-                let line = if self.isa == IsaKind::Scalar {
-                    format!("reg[{d}] += reg[{s}] * {bval};")
-                } else {
-                    format!("reg[{d}] = fmaf(reg[{s}], {bval}, reg[{d}]);")
-                };
-                let _ = writeln!(out, "{pad}{line}");
+    fn op(&mut self, op: &VOp) {
+        match op {
+            VOp::LoopBegin { slot, lo, hi, .. } => {
+                let (lo_c, hi_c) = (self.saddr(lo), self.saddr(hi));
+                let bound = self.fresh("e");
+                self.line(&format!("const int64_t {bound} = {hi_c};"));
+                self.line(&format!("for (int64_t t{slot} = {lo_c}; t{slot} < {bound}; t{slot}++) {{"));
+                self.depth += 1;
+                self.prefetched.push(Vec::new());
+                self.fwd.fill(None);
             }
-            return;
+            VOp::LoopEnd { .. } => {
+                self.depth -= 1;
+                self.line("}");
+                self.prefetched.pop();
+                self.fwd.fill(None);
+            }
+            VOp::VLoad { dst, buf, addr, lanes } => {
+                self.prefetch(*buf, addr);
+                let idx = self.saddr(addr);
+                self.copy(true, *dst, *buf, &idx, *lanes);
+            }
+            VOp::VStore { src, buf, addr, lanes } => {
+                let idx = self.saddr(addr);
+                self.copy(false, *src, *buf, &idx, *lanes);
+            }
+            // The broadcast lane never aliases the accumulator run
+            // (construction-validated), so reading it once matches the
+            // superword dispatch reading it once per op.
+            VOp::VFmaLane { dst, a, b, lanes } => self.fma_run(*dst, *a, Bcast::Reg(*b), *lanes),
+            VOp::VFmaBcast { dst, a, buf, addr, scratch, lanes } => {
+                self.prefetch(*buf, addr);
+                let elem = self.elem(*buf, &self.saddr(addr), 0);
+                self.set(*scratch, |_| elem.clone());
+                if self.read_only[*buf as usize] {
+                    self.fwd[*scratch as usize] = Some(elem.clone());
+                }
+                self.fma_run(*dst, *a, Bcast::Mem(elem), *lanes);
+            }
+            VOp::Scalar(s) => self.scalar(s),
         }
-        let mut o = 0u32;
-        if self.isa == IsaKind::Avx2 {
-            while lanes - o >= 8 {
-                let (d, s) = (dst + o, a + o);
-                let _ = writeln!(
-                    out,
-                    "{pad}_mm256_storeu_ps(&reg[{d}], _mm256_fmadd_ps(_mm256_loadu_ps(&reg[{s}]), \
-                     _mm256_set1_ps({bval}), _mm256_loadu_ps(&reg[{d}])));"
-                );
-                o += 8;
+    }
+
+    fn scalar(&mut self, op: &TOp) {
+        let binary = |e: &mut Self, a: u32, sym: &str, b: u32| format!("{} {sym} {}", e.get(a).0, e.get(b).0);
+        match *op {
+            TOp::ConstF { dst, val } => self.set(dst, |_| format!("{val:?}f")),
+            TOp::LoadT { dst, buf, ref addr } => {
+                let elem = self.elem(buf, &self.addr(addr), 0);
+                self.set(dst, |_| elem.clone());
+                if self.read_only[buf as usize] {
+                    self.fwd[dst as usize] = Some(elem);
+                }
             }
-            if lanes - o >= 4 {
-                let (d, s) = (dst + o, a + o);
-                let _ = writeln!(
-                    out,
-                    "{pad}_mm_storeu_ps(&reg[{d}], _mm_fmadd_ps(_mm_loadu_ps(&reg[{s}]), \
-                     _mm_set1_ps({bval}), _mm_loadu_ps(&reg[{d}])));"
-                );
-                o += 4;
+            TOp::StoreT { src, buf, ref addr } => {
+                let elem = self.elem(buf, &self.addr(addr), 0);
+                let (v, _) = self.get(src);
+                self.line(&format!("{elem} = {v};"));
             }
-        } else {
-            while lanes - o >= 4 {
-                let (d, s) = (dst + o, a + o);
-                let _ = writeln!(
-                    out,
-                    "{pad}vst1q_f32(&reg[{d}], vfmaq_f32(vld1q_f32(&reg[{d}]), vld1q_f32(&reg[{s}]), \
-                     vdupq_n_f32({bval})));"
-                );
-                o += 4;
+            TOp::Mov { dst, src } => {
+                let source = self.fwd[src as usize].clone();
+                self.set(dst, |e| e.get(src).0);
+                self.fwd[dst as usize] = source;
             }
-        }
-        for i in o..lanes {
-            let (d, s) = (dst + i, a + i);
-            let _ = writeln!(out, "{pad}reg[{d}] = fmaf(reg[{s}], {bval}, reg[{d}]);");
+            TOp::Neg { dst, src } => self.set(dst, |e| format!("-{}", e.get(src).0)),
+            TOp::AddAssign { dst, src } => self.set(dst, |e| binary(e, dst, "+", src)),
+            TOp::Add { dst, a, b } => self.set(dst, |e| binary(e, a, "+", b)),
+            TOp::Sub { dst, a, b } => self.set(dst, |e| binary(e, a, "-", b)),
+            TOp::Mul { dst, a, b } => self.set(dst, |e| binary(e, a, "*", b)),
+            TOp::Div { dst, a, b } => self.set(dst, |e| binary(e, a, "/", b)),
+            // The chain's scalar FMA is contracted on native ISAs and
+            // two-rounding on the scalar floor — mirrored here.
+            TOp::Fma { dst, a, b } => {
+                let scalar = self.isa == IsaKind::Scalar;
+                self.set(dst, |e| {
+                    let (acc, x, y) = (e.get(dst).0, e.get(a).0, e.get(b).0);
+                    if scalar {
+                        format!("{acc} + {x} * {y}")
+                    } else {
+                        format!("fmaf({x}, {y}, {acc})")
+                    }
+                });
+            }
+            TOp::CastI { dst, ref value } => {
+                let v = self.addr(value);
+                self.set(dst, |_| format!("(float){v}"));
+            }
+            TOp::Zero { base, len } => self.zero(base, len),
+            TOp::Round { .. } | TOp::LoopBegin { .. } | TOp::LoopEnd { .. } => {
+                unreachable!("rejected up front / lifted to VOp level")
+            }
         }
     }
 }
 
-fn overlaps_u32(a: u32, len: u32, b: u32, blen: u32) -> bool {
-    a < b + blen && b < a + len
+/// The zero vector of a `width`-lane slot.
+fn zero_value(isa: IsaKind, width: u32) -> &'static str {
+    match (isa, width) {
+        (_, 1) => "0.0f",
+        (IsaKind::Neon, _) => "vdupq_n_f32(0.0f)",
+        (_, 8) => "_mm256_setzero_ps()",
+        (_, _) => "_mm_setzero_ps()",
+    }
+}
+
+/// The C type of a `width`-lane slot.
+fn slot_type(isa: IsaKind, width: u32) -> &'static str {
+    match (isa, width) {
+        (_, 1) => "float",
+        (IsaKind::Neon, _) => "float32x4_t",
+        (_, 8) => "__m256",
+        (_, _) => "__m128",
+    }
 }
 
 fn aot_unsupported(what: impl Into<String>) -> CodegenError {
@@ -445,11 +823,12 @@ fn c_ident(name: &str, used: &mut Vec<String>) -> String {
     if !s.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_') {
         s.insert(0, 'p');
     }
-    // Avoid the emitter's own locals (`reg`, the `t<slot>` counters, the
-    // `i`/`e`/`z`/`bv`-numbered temporaries) and a handful of C keywords
-    // a tensor could plausibly be called after. Every rule below demands
-    // a digits-only tail, so appending `_` always terminates the loop.
-    let reserved = ["reg", "const", "restrict", "float", "int", "void", "for", "if", "do", "while"];
+    // Avoid the emitter's own locals (the `r<base>` register slots, the
+    // `t<slot>` loop counters, the `e<n>` loop bounds and the `bv<n>` /
+    // `vb<n>` broadcasts) and a handful of C keywords a tensor could
+    // plausibly be called after. Every numbered rule demands a
+    // digits-only tail, so appending `_` always terminates the loop.
+    let reserved = ["const", "restrict", "float", "int", "void", "for", "if", "do", "while"];
     let numbered = |s: &str, prefix: &str| {
         s.strip_prefix(prefix)
             .is_some_and(|tail| !tail.is_empty() && tail.bytes().all(|b| b.is_ascii_digit()))
@@ -457,7 +836,7 @@ fn c_ident(name: &str, used: &mut Vec<String>) -> String {
     let clashes = |s: &str, used: &[String]| {
         used.iter().any(|u| u == s)
             || reserved.contains(&s)
-            || ["t", "i", "e", "z", "bv"].iter().any(|p| numbered(s, p))
+            || ["r", "t", "e", "bv", "vb"].iter().any(|p| numbered(s, p))
     };
     while clashes(&s, used) {
         s.push('_');
@@ -481,11 +860,20 @@ fn c_ident(name: &str, used: &mut Vec<String>) -> String {
 ///
 /// Vector ops lower to AVX2/FMA or NEON intrinsics ([`IsaKind::Avx2`] /
 /// [`IsaKind::Neon`]) or to plain scalar C ([`IsaKind::Scalar`], the
-/// portable floor). The register file becomes a local `float` array with
-/// constant indices throughout, which `-O3` promotes to machine registers;
-/// micro-iterations arrive already unrolled on the tape, and packed-panel
-/// loads inside the dynamic `KC` loop get a software prefetch of the panel
-/// a few iterations ahead (`PREFETCH_ITERS`).
+/// portable floor). The register file becomes one typed local per slot
+/// (`__m256`/`__m128`/`float32x4_t`, plain `float` for other lanes), the
+/// slots taken from the `(base, lanes)` runs of the tape's vector ops, so
+/// the `C` tile is register-resident by construction: a `float` array,
+/// even with constant indices, is not fully scalar-replaced by `-O3` and
+/// leaves stack traffic in the `KC` loop. Copies split at slot
+/// boundaries; a lane of a vector slot is read or written with an exact
+/// extract or blend. A register still holding a read-only packed element
+/// is read from the tensor itself, so each `B` value is broadcast once
+/// straight from memory; writes nothing reads are dropped, and slots start
+/// zeroed once, at their declaration. Micro-iterations arrive already
+/// unrolled on the tape, and packed-panel loads inside the dynamic `KC`
+/// loop get a software prefetch of the panel a few iterations ahead
+/// (`PREFETCH_ITERS`).
 ///
 /// Numerical contract (the compile flags must include
 /// `-ffp-contract=off` so the compiler adds no contractions of its own):
@@ -493,7 +881,8 @@ fn c_ident(name: &str, used: &mut Vec<String>) -> String {
 /// multiply-add — bit-identical to the simd closure chain of the same ISA,
 /// and therefore within [`crate::fma_contraction_tol`] of the superword
 /// tier; the scalar floor is an explicit multiply-then-add, bit-identical
-/// to the superword/tape/interpreter tiers.
+/// to the superword/tape/interpreter tiers. Every other operation is an
+/// exact move, so the lowering changes register allocation, never bits.
 ///
 /// # Errors
 ///
@@ -539,8 +928,39 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
             }
         }
     }
+    let read_only: Vec<bool> = (0..n_tensors).map(|t| !kernel.writes_tensor(t)).collect();
 
-    let mut ctx = SwEmit { isa, scalar_names, tensor_names, tmp: 0 };
+    // Dead-write elimination to a fixpoint: start with no live slot, emit,
+    // make live every slot the emitted code read, and repeat. Emission is
+    // monotone in the live set, so the loop ends with a body whose live
+    // slots are exactly the ones it reads.
+    let slots = Slots::plan(kernel, isa);
+    let mut live = vec![false; slots.runs.len()];
+    let body = loop {
+        let mut pass = SwEmit {
+            isa,
+            scalar_names: &scalar_names,
+            tensor_names: &tensor_names,
+            read_only: &read_only,
+            slots: &slots,
+            live: &live,
+            read: vec![false; slots.runs.len()],
+            fwd: vec![None; kernel.n_regs],
+            dirty: vec![false; slots.runs.len()],
+            depth: 0,
+            prefetched: Vec::new(),
+            tmp: 0,
+            out: String::new(),
+        };
+        for op in &kernel.ops {
+            pass.op(op);
+        }
+        if pass.read == live {
+            break pass.out;
+        }
+        live = pass.read;
+    };
+
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -568,115 +988,14 @@ pub fn emit_superword_c(kernel: &SuperwordKernel, isa: IsaKind, fn_name: &str) -
     }
     let _ = writeln!(out);
     let _ = writeln!(out, "void {fn_name}({}) {{", sig_parts.join(", "));
-    // The register file: a local float array with constant indices, which
-    // the C compiler's scalar replacement promotes to machine registers.
-    // It starts zeroed, exactly like the tape's freshly allocated one.
-    let n_regs = kernel.n_regs;
-    let _ = writeln!(out, "    float reg[{n_regs}];");
-    let _ = writeln!(out, "    for (int64_t z0 = 0; z0 < {n_regs}; z0++) reg[z0] = 0.0f;");
-
-    let mut level = 1usize;
-    // One prefetch per (buffer, loop body): emitted at the first
-    // loop-carried packed load of each buffer inside each dynamic loop.
-    let mut prefetched: Vec<Vec<u16>> = Vec::new();
-    let prefetch = |ctx: &mut SwEmit,
-                    out: &mut String,
-                    pad: &str,
-                    prefetched: &mut Vec<Vec<u16>>,
-                    buf: u16,
-                    addr: &SAddr| {
-        let Some(scope) = prefetched.last_mut() else { return };
-        if scope.contains(&buf) {
-            return;
-        }
-        if let SAddr::Loop { base, slot, coeff } = addr {
-            scope.push(buf);
-            let name = &ctx.tensor_names[buf as usize];
-            let ahead = ctx.affine(*base + coeff * PREFETCH_ITERS, &[(Term::Loop(*slot), *coeff)]);
-            let _ = writeln!(out, "{pad}__builtin_prefetch(&{name}[{ahead}], 0, 3);");
-        }
-    };
-
-    for op in &kernel.ops {
-        let pad = indent(level);
-        match op {
-            VOp::LoopBegin { slot, lo, hi, .. } => {
-                let (lo_c, hi_c) = (ctx.saddr(lo), ctx.saddr(hi));
-                let bound = ctx.fresh("e");
-                let _ = writeln!(out, "{pad}const int64_t {bound} = {hi_c};");
-                let _ = writeln!(out, "{pad}for (int64_t t{slot} = {lo_c}; t{slot} < {bound}; t{slot}++) {{");
-                level += 1;
-                prefetched.push(Vec::new());
-            }
-            VOp::LoopEnd { .. } => {
-                level -= 1;
-                let _ = writeln!(out, "{}}}", indent(level));
-                prefetched.pop();
-            }
-            VOp::VLoad { dst, buf, addr, lanes } => {
-                prefetch(&mut ctx, &mut out, &pad, &mut prefetched, *buf, addr);
-                let idx = ctx.saddr(addr);
-                ctx.copy(&mut out, &pad, true, *dst, *buf, &idx, *lanes);
-            }
-            VOp::VStore { src, buf, addr, lanes } => {
-                let idx = ctx.saddr(addr);
-                ctx.copy(&mut out, &pad, false, *src, *buf, &idx, *lanes);
-            }
-            VOp::VFmaLane { dst, a, b, lanes } => {
-                // The broadcast lane never aliases the accumulator run
-                // (construction-validated), so reading it up front matches
-                // the superword dispatch reading it once per op.
-                let bv = ctx.fresh("bv");
-                let _ = writeln!(out, "{pad}const float {bv} = reg[{b}];");
-                ctx.fma_run(&mut out, &pad, *dst, *a, &bv, *lanes);
-            }
-            VOp::VFmaBcast { dst, a, buf, addr, scratch, lanes } => {
-                prefetch(&mut ctx, &mut out, &pad, &mut prefetched, *buf, addr);
-                let idx = ctx.saddr(addr);
-                let name = ctx.tensor_names[*buf as usize].clone();
-                let bv = ctx.fresh("bv");
-                let _ = writeln!(out, "{pad}const float {bv} = {name}[{idx}];");
-                let _ = writeln!(out, "{pad}reg[{scratch}] = {bv};");
-                ctx.fma_run(&mut out, &pad, *dst, *a, &bv, *lanes);
-            }
-            VOp::Scalar(s) => {
-                let line = match s {
-                    TOp::ConstF { dst, val } => format!("reg[{dst}] = {val:?}f;"),
-                    TOp::LoadT { dst, buf, addr } => {
-                        format!("reg[{dst}] = {}[{}];", ctx.tensor_names[*buf as usize], ctx.addr(addr))
-                    }
-                    TOp::StoreT { src, buf, addr } => {
-                        format!("{}[{}] = reg[{src}];", ctx.tensor_names[*buf as usize], ctx.addr(addr))
-                    }
-                    TOp::Mov { dst, src } => format!("reg[{dst}] = reg[{src}];"),
-                    TOp::Neg { dst, src } => format!("reg[{dst}] = -reg[{src}];"),
-                    TOp::AddAssign { dst, src } => format!("reg[{dst}] += reg[{src}];"),
-                    TOp::Add { dst, a, b } => format!("reg[{dst}] = reg[{a}] + reg[{b}];"),
-                    TOp::Sub { dst, a, b } => format!("reg[{dst}] = reg[{a}] - reg[{b}];"),
-                    TOp::Mul { dst, a, b } => format!("reg[{dst}] = reg[{a}] * reg[{b}];"),
-                    TOp::Div { dst, a, b } => format!("reg[{dst}] = reg[{a}] / reg[{b}];"),
-                    // The chain's scalar FMA is contracted on native ISAs
-                    // and two-rounding on the scalar floor — mirrored here.
-                    TOp::Fma { dst, a, b } => {
-                        if ctx.isa == IsaKind::Scalar {
-                            format!("reg[{dst}] += reg[{a}] * reg[{b}];")
-                        } else {
-                            format!("reg[{dst}] = fmaf(reg[{a}], reg[{b}], reg[{dst}]);")
-                        }
-                    }
-                    TOp::CastI { dst, value } => format!("reg[{dst}] = (float)({});", ctx.addr(value)),
-                    TOp::Zero { base, len } => {
-                        let z = ctx.fresh("z");
-                        format!("for (int64_t {z} = 0; {z} < {len}; {z}++) reg[{base} + {z}] = 0.0f;")
-                    }
-                    TOp::Round { .. } | TOp::LoopBegin { .. } | TOp::LoopEnd { .. } => {
-                        unreachable!("rejected above / lifted to VOp level")
-                    }
-                };
-                let _ = writeln!(out, "{pad}{line}");
-            }
+    // The register file: one local per live slot, zeroed like the tape's
+    // freshly allocated file.
+    for (s, &(base, width)) in slots.runs.iter().enumerate() {
+        if live[s] {
+            let _ = writeln!(out, "    {} r{base} = {};", slot_type(isa, width), zero_value(isa, width));
         }
     }
+    out.push_str(&body);
     let _ = writeln!(out, "}}");
     Ok(out)
 }
@@ -875,8 +1194,33 @@ mod tests {
         assert!(c.contains("_mm256_fmadd_ps"), "whole-vector fused FMAs:\n{c}");
         assert!(c.contains("for (int64_t t0 = (0); t0 <"), "dynamic KC loop:\n{c}");
         assert!(c.contains("__builtin_prefetch"), "packed panels are prefetched:\n{c}");
-        // The register file starts zeroed, like the tape's.
-        assert!(c.contains("reg[z0] = 0.0f;"), "got:\n{c}");
+        // The register file starts zeroed, like the tape's, in typed locals.
+        assert!(c.contains("    __m256 r0 = _mm256_setzero_ps();"), "got:\n{c}");
+        assert!(!c.contains("float reg["), "no register-file array:\n{c}");
+    }
+
+    #[test]
+    fn superword_emission_keeps_the_tile_in_typed_locals() {
+        // (mr, nr, whole-vector FMAs per k-step)
+        for (mr, nr, fmas) in [(8, 12, 12), (12, 8, 16), (4, 24, 24)] {
+            let sw = staged_superword(mr, nr);
+            let c = emit_superword_c(&sw, IsaKind::Avx2, "k").unwrap();
+            let (head, rest) = c.split_once("for (int64_t t0").expect("one KC loop");
+            let (body, tail) = rest.split_once("\n    }\n").expect("the KC loop closes");
+            // Every local is zeroed once, at its declaration, and nothing
+            // zeroes it again.
+            let decls = head.lines().filter(|l| l.contains(" r") && l.contains("_setzero_ps();")).count();
+            assert_eq!(c.matches("setzero").count(), decls, "one zero-init per local:\n{c}");
+            // The hot loop is whole-vector loads, broadcasts straight from
+            // the packed B panel, and FMAs: no lane shuffles.
+            assert_eq!(body.matches("_fmadd_ps(").count(), fmas, "{mr}x{nr}: one FMA per slot:\n{c}");
+            let broadcasts = body.matches("_broadcast_ss(&Bc[").count();
+            assert_eq!(broadcasts as i64, nr, "{mr}x{nr}: one broadcast per B value:\n{c}");
+            for lane_op in ["blend", "permute", "insertf128", "extractf128", "cvtss", "fmaf"] {
+                assert!(!body.contains(lane_op), "{mr}x{nr}: `{lane_op}` in the KC loop:\n{body}");
+            }
+            assert!(tail.contains("_storeu_ps(&C["), "the tile is stored from its locals:\n{c}");
+        }
     }
 
     #[test]
@@ -885,7 +1229,9 @@ mod tests {
         let c = emit_superword_c(&sw, IsaKind::Neon, "exo_aot_kernel").unwrap();
         assert!(c.contains("#include <arm_neon.h>"), "got:\n{c}");
         assert!(c.contains("vfmaq_f32"), "got:\n{c}");
-        assert!(!c.contains("_mm256"), "no x86 intrinsics in the NEON lowering:\n{c}");
+        assert!(c.contains("    float32x4_t r0 = vdupq_n_f32(0.0f);"), "typed vector locals:\n{c}");
+        assert!(c.contains("vld1q_dup_f32(&Bc["), "B is broadcast straight from the panel:\n{c}");
+        assert!(!c.contains("_mm256") && !c.contains("float reg["), "no x86 intrinsics, no array:\n{c}");
     }
 
     #[test]
@@ -897,7 +1243,8 @@ mod tests {
         // the C compiler from undoing this.
         assert!(!c.contains("fmaf"), "scalar floor must not contract:\n{c}");
         assert!(!c.contains("_mm256") && !c.contains("vfmaq"), "got:\n{c}");
-        assert!(c.contains("] * bv"), "broadcast multiply-accumulate runs:\n{c}");
+        assert!(c.contains(" * bv"), "broadcast multiply-accumulate runs:\n{c}");
+        assert!(c.contains("    float r0 = 0.0f;"), "one float local per register:\n{c}");
     }
 
     #[test]
@@ -945,20 +1292,33 @@ mod tests {
 
     #[test]
     fn superword_emission_sanitises_hostile_parameter_names() {
-        // A tensor named `reg` must not capture the emitter's register
-        // file, and loop-counter-shaped names must not collide with the
-        // emitted `t<slot>` counters.
-        let p = proc("hostile")
-            .size_arg("t0")
-            .tensor_arg("reg", ScalarType::F32, vec![int(4)], MemSpace::Dram)
-            .tensor_arg("bv0", ScalarType::F32, vec![int(4)], MemSpace::Dram)
-            .tensor_arg("C", ScalarType::F32, vec![int(4)], MemSpace::Dram)
-            .body(vec![assign("C", vec![int(0)], read("reg", vec![int(0)]))])
-            .build();
-        let sw = crate::exec::compile(&p).unwrap().to_superword().unwrap();
-        let c = emit_superword_c(&sw, IsaKind::Scalar, "k").unwrap();
-        assert!(c.contains("const float* restrict reg_"), "renamed away from the register file:\n{c}");
+        // Parameters named after the emitter's locals — the `r<base>`
+        // register slots, the `t<slot>` loop counters, the `e<n>` bounds
+        // and the `bv<n>`/`vb<n>` broadcasts — are renamed so they cannot
+        // shadow one.
+        let hostile = |scalar: &str, t0: &str, t1: &str| {
+            let p = proc("hostile")
+                .size_arg(scalar)
+                .tensor_arg(t0, ScalarType::F32, vec![int(4)], MemSpace::Dram)
+                .tensor_arg(t1, ScalarType::F32, vec![int(4)], MemSpace::Dram)
+                .tensor_arg("C", ScalarType::F32, vec![int(4)], MemSpace::Dram)
+                .body(vec![assign(
+                    "C",
+                    vec![int(0)],
+                    Expr::add(read(t0, vec![int(0)]), read(t1, vec![int(0)])),
+                )])
+                .build();
+            let sw = crate::exec::compile(&p).unwrap().to_superword().unwrap();
+            emit_superword_c(&sw, IsaKind::Scalar, "k").unwrap()
+        };
+        let c = hostile("t0", "r0", "bv0");
         assert!(c.contains("int64_t t0_"), "renamed away from loop counters:\n{c}");
-        assert!(c.contains("float reg["), "the register file keeps its name:\n{c}");
+        assert!(c.contains("const float* restrict r0_"), "renamed away from the register slots:\n{c}");
+        assert!(c.contains("const float* restrict bv0_"), "renamed away from the broadcasts:\n{c}");
+        assert!(c.contains("    float r"), "the register slots keep their names:\n{c}");
+        let c = hostile("e0", "vb0", "r");
+        assert!(c.contains("int64_t e0_"), "renamed away from loop bounds:\n{c}");
+        assert!(c.contains("const float* restrict vb0_"), "renamed away from the broadcasts:\n{c}");
+        assert!(c.contains("const float* restrict r,"), "an unnumbered name clashes with nothing:\n{c}");
     }
 }

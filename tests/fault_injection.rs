@@ -374,14 +374,9 @@ fn settle_shared_native_key() {
 /// compile path could never fire. Returns the artifact path.
 fn evict_artifact(kernel: &std::sync::Arc<exo_gemm::ukernel_gen::GeneratedKernel>) -> std::path::PathBuf {
     let sw = kernel.superword.as_ref().expect("kernel superword-compiles");
-    let c_source = exo_gemm::exo_codegen::emit_superword_c(
-        sw,
-        exo_gemm::exo_codegen::active_isa(),
-        exo_gemm::exo_aot::KERNEL_SYMBOL,
-    )
-    .expect("kernel emits");
-    let key = exo_gemm::exo_aot::artifact_key(&c_source, &exo_gemm::gemm_blis::toolchain().unwrap().version);
-    let store = exo_gemm::exo_aot::engine().store();
+    let engine = exo_gemm::exo_aot::engine();
+    let key = engine.prepare(sw, exo_gemm::exo_codegen::active_isa()).expect("kernel emits").key();
+    let store = engine.store();
     let artifact = store.artifact_path(key);
     let _ = std::fs::remove_file(&artifact);
     let _ = std::fs::remove_file(store.manifest_path(key));

@@ -43,8 +43,10 @@ fn packed_operands(mr: usize, nr: usize, kc: usize, cases: &mut Cases) -> (Vec<f
     (a, b, c)
 }
 
-/// Five-way differential on every registry tile shape, across several KC
-/// values including `k = 0` and `k = 1`: superword ≡ tape ≡ interpreter
+/// Five-way differential on every registry tile shape, plus the 4x24 and
+/// 12x8 tiles the tuner selects for ResNet50, across several KC values
+/// from `k = 0` and `k = 1` up to the production depths of the ResNet50
+/// verdicts (`kc = 400` and `512`): superword ≡ tape ≡ interpreter
 /// bit-for-bit, the SIMD chain within the FMA-contraction bound, and the
 /// ahead-of-time native tier **bit-identical to the SIMD chain** — with a
 /// toolchain because the emitted C performs the same per-lane fused ops,
@@ -54,7 +56,9 @@ fn native_simd_superword_tape_and_interpreter_agree_across_registry_shapes() {
     let cache = KernelCache::new();
     let generator = MicroKernelGenerator::new(neon_f32());
     let mut cases = Cases::new(0x7a9e);
-    for (mr, nr) in KernelSet::paper_shapes() {
+    let shapes: Vec<(usize, usize)> =
+        KernelSet::paper_shapes().into_iter().chain([(4, 24), (12, 8)]).collect();
+    for &(mr, nr) in &shapes {
         let kernel = cache.get_or_generate(&generator, mr, nr).unwrap();
         assert!(kernel.tape.is_some(), "{mr}x{nr} must tape-compile");
         let sw = kernel.superword.as_ref().unwrap_or_else(|| panic!("{mr}x{nr} must superword-compile"));
@@ -71,7 +75,7 @@ fn native_simd_superword_tape_and_interpreter_agree_across_registry_shapes() {
             assert!(native_available(), "{mr}x{nr}: a native kernel implies an answering toolchain");
             assert_eq!(native.isa(), active_isa(), "{mr}x{nr}: native artifact targets the active ISA");
         }
-        for kc in [0usize, 1, 2, 17, 64] {
+        for kc in [0usize, 1, 2, 17, 64, 400, 512] {
             let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
             let mut c_simd = c0.clone();
             kernel.run_packed(kc, &a, &b, &mut c_simd).unwrap();
@@ -94,7 +98,7 @@ fn native_simd_superword_tape_and_interpreter_agree_across_registry_shapes() {
     }
     // The cache compiled each tape, superword, and simd lowering exactly
     // once, alongside its kernel.
-    assert_eq!(cache.generator_invocations(), KernelSet::paper_shapes().len() as u64);
+    assert_eq!(cache.generator_invocations(), shapes.len() as u64);
 }
 
 /// All five tiers agree with `naive_gemm` (to accumulation tolerance) on
