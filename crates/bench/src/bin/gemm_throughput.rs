@@ -1,15 +1,10 @@
 //! Wall-clock GFLOPS of the functional GEMM spine, one row per square
-//! problem size, one column per execution configuration:
+//! problem size, one column per execution configuration. Every series
+//! runs the arena driver, the only one; the `+arena` in some names keeps
+//! them comparable with the committed baseline:
 //!
-//! * `interp`                   — tree-walking interpreter kernel, legacy
-//!   allocate-per-block driver (the pre-tape status quo),
-//! * `tape`                     — scalar tape kernel, legacy driver,
-//! * `tape+arena`               — scalar tape, zero-allocation packing
-//!   arenas,
-//! * `superword`                — superword whole-vector kernel, legacy
-//!   driver (isolates the backend win from the driver win),
-//! * `superword+arena`          — superword kernel plus the arenas: the
-//!   portable production path,
+//! * `superword+arena`          — the superword whole-vector kernel, one
+//!   thread: the portable tier at the bottom of the ladder,
 //! * `superword+arena+threads`  — arenas plus the threaded block loop
 //!   (all cores),
 //! * `superword+arena+strided`  — the portable path over *strided*
@@ -18,16 +13,16 @@
 //!   (`B` stored `n x k`, transposed through the view, folded into
 //!   packing's stride walk),
 //! * `simd`                     — the in-process closure chain for the
-//!   active vector ISA (AVX2/FMA, NEON, or the scalar reference), legacy
-//!   driver (isolates the intrinsic win from the driver win),
+//!   active vector ISA (AVX2/FMA, NEON, or the scalar reference), one
+//!   thread,
 //! * `simd+arena+threads`       — the chain plus arenas plus the threaded
 //!   block loop,
 //! * `simd+arena+strided`       — the chain path over strided views,
 //! * `native`                   — the ahead-of-time compiled `.so` tier
 //!   (C emitted from the superword tape, built by the host toolchain,
-//!   dlopen'd), legacy driver — on hosts without a C compiler this
-//!   silently measures the simd chain instead (`"native_available"` in
-//!   the JSON says which),
+//!   dlopen'd), one thread — on hosts without a C compiler this silently
+//!   measures the simd chain instead (`"native_available"` in the JSON
+//!   says which),
 //! * `native+arena+threads`     — the native tier plus arenas plus the
 //!   threaded block loop: the default production path.
 //!
@@ -52,8 +47,8 @@
 //! Exit status encodes the CI perf gates:
 //!
 //! * the backend ordering must hold at every size — `native >= simd >=
-//!   superword >= tape >= interp` (a faster tier measuring slower than its
-//!   fallback means the fast path regressed below the slow one); the
+//!   superword+arena` (a faster tier measuring slower than its fallback
+//!   means the fast path regressed below the slow one); the
 //!   `simd >= superword` leg only applies when a *native* ISA is selected
 //!   (`simd_available()`), since the scalar chain has no vector win over
 //!   the superword loop and the two differ only by noise, and the
@@ -77,9 +72,8 @@ use std::time::Instant;
 use exo_serve::{GemmBatch, GemmBatchExecutor, GemmJob, GemmService, OwnedMat, ServiceConfig};
 use exo_tune::TunedGemm;
 use gemm_blis::{
-    active_isa, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
-    native_available, simd_available, toolchain, BlisGemm, BlockingParams, GemmExecutor, GemmProblem,
-    IsaKind, KernelImpl, MatMut, MatRef,
+    active_isa, exo_kernel, exo_kernel_simd, exo_kernel_superword, native_available, simd_available,
+    toolchain, BlisGemm, BlockingParams, GemmExecutor, GemmProblem, IsaKind, KernelImpl, MatMut, MatRef,
 };
 use ukernel_gen::MicroKernelGenerator;
 
@@ -487,16 +481,12 @@ fn main() {
         }
     });
     let sizes: Vec<usize> = if quick { QUICK_SIZES.to_vec() } else { FULL_SIZES.to_vec() };
-    // The fast configurations take a best-of-2 even in quick mode so a
-    // single noisy run does not trip the regression gate; the interpreter
-    // (orders of magnitude slower, and the least noise-sensitive series) is
-    // never repeated.
+    // Every configuration takes a best-of-2 even in quick mode so a single
+    // noisy run does not trip the regression gate.
     let reps = 2;
 
     let generator = MicroKernelGenerator::new(exo_isa::neon_f32());
     let kernel = Arc::new(generator.generate(8, 12).expect("8x12 kernel generates"));
-    assert!(kernel.tape.is_some(), "the 8x12 kernel must tape-compile");
-    assert!(kernel.superword.is_some(), "the 8x12 kernel must superword-compile");
     // Settle the asynchronous native build before any measurement: the
     // `native` series must bench the promoted artifact (when a toolchain
     // answers), not race the background compile and silently measure the
@@ -506,30 +496,6 @@ fn main() {
     let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
 
     let variants = [
-        Variant {
-            name: "interp",
-            kernel: exo_kernel_interp(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking).without_arena(),
-            mode: Mode::Dense,
-        },
-        Variant {
-            name: "tape",
-            kernel: exo_kernel_tape(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking).without_arena(),
-            mode: Mode::Dense,
-        },
-        Variant {
-            name: "tape+arena",
-            kernel: exo_kernel_tape(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking),
-            mode: Mode::Dense,
-        },
-        Variant {
-            name: "superword",
-            kernel: exo_kernel_superword(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking).without_arena(),
-            mode: Mode::Dense,
-        },
         Variant {
             name: "superword+arena",
             kernel: exo_kernel_superword(Arc::clone(&kernel)),
@@ -557,7 +523,7 @@ fn main() {
         Variant {
             name: "simd",
             kernel: exo_kernel_simd(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking).without_arena(),
+            driver: BlisGemm::new(blocking),
             mode: Mode::Dense,
         },
         Variant {
@@ -575,7 +541,7 @@ fn main() {
         Variant {
             name: "native",
             kernel: exo_kernel(Arc::clone(&kernel)),
-            driver: BlisGemm::new(blocking).without_arena(),
+            driver: BlisGemm::new(blocking),
             mode: Mode::Dense,
         },
         Variant {
@@ -598,9 +564,7 @@ fn main() {
     for &size in &sizes {
         print!("{size:<8}");
         for (vi, variant) in variants.iter().enumerate() {
-            // The interpreter is orders of magnitude slower; never repeat it.
-            let v_reps = if variant.name == "interp" { 1 } else { reps };
-            let g = measure(variant, size, v_reps);
+            let g = measure(variant, size, reps);
             gflops[vi].push(g);
             print!("{g:>25.3}");
         }
@@ -613,25 +577,15 @@ fn main() {
     let series_of = |name: &str| -> usize {
         names.iter().position(|n| *n == name).unwrap_or_else(|| panic!("no `{name}` series"))
     };
-    let (interp_i, tape_i, sw_i, simd_i, native_i) = (
-        series_of("interp"),
-        series_of("tape"),
-        series_of("superword"),
-        series_of("simd"),
-        series_of("native"),
-    );
+    let (sw_i, simd_i, native_i) = (series_of("superword+arena"), series_of("simd"), series_of("native"));
     let speedup_series = |num: usize, den: usize| -> (f64, f64) {
         let per_size: Vec<f64> = (0..sizes.len()).map(|i| gflops[num][i] / gflops[den][i]).collect();
         (per_size.iter().cloned().fold(f64::INFINITY, f64::min), geomean(&per_size))
     };
-    let (tape_min, tape_geo) = speedup_series(tape_i, interp_i);
-    let (sw_min, sw_geo) = speedup_series(sw_i, tape_i);
     let (simd_min, simd_geo) = speedup_series(simd_i, sw_i);
     let (native_min, native_geo) = speedup_series(native_i, simd_i);
-    println!("\ntape over interp:     min {tape_min:.1}x, geomean {tape_geo:.1}x");
-    println!("superword over tape:  min {sw_min:.1}x, geomean {sw_geo:.1}x");
     println!(
-        "simd over superword:  min {simd_min:.1}x, geomean {simd_geo:.1}x{}",
+        "\nsimd over superword:  min {simd_min:.1}x, geomean {simd_geo:.1}x{}",
         if simd_available() {
             format!("  (isa: {})", active_isa())
         } else {
@@ -684,16 +638,6 @@ fn main() {
     }
     json.push_str("  },\n");
     json.push_str(&format!(
-        "  \"speedup_tape_over_interp\": {{ \"min\": {}, \"geomean\": {} }},\n",
-        json_f64(tape_min),
-        json_f64(tape_geo)
-    ));
-    json.push_str(&format!(
-        "  \"speedup_superword_over_tape\": {{ \"min\": {}, \"geomean\": {} }},\n",
-        json_f64(sw_min),
-        json_f64(sw_geo)
-    ));
-    json.push_str(&format!(
         "  \"speedup_simd_over_superword\": {{ \"min\": {}, \"geomean\": {} }},\n",
         json_f64(simd_min),
         json_f64(simd_geo)
@@ -734,21 +678,14 @@ fn main() {
     std::fs::write(&out_path, json).expect("write BENCH_gemm.json");
     println!("wrote {out_path}");
 
-    // CI gate 1: the backend ordering must hold at every size — a faster
-    // tier measuring slower than its own fallback is a hard regression.
-    // The simd leg only applies where a *native* chain runs: on the scalar
-    // ISA the chain does the same scalar arithmetic as the superword loop
-    // and the two differ only by measurement noise.
+    // CI gate 1: the backend ordering native >= simd >= superword+arena
+    // must hold at every size — a faster tier measuring slower than its
+    // own fallback is a hard regression. The simd leg only applies where a
+    // *native* chain runs: on the scalar ISA the chain does the same
+    // scalar arithmetic as the superword loop and the two differ only by
+    // measurement noise.
     let mut failed = false;
     for (i, &size) in sizes.iter().enumerate() {
-        if gflops[tape_i][i] < gflops[interp_i][i] {
-            eprintln!("FAIL: tape slower than the interpreter at {size}");
-            failed = true;
-        }
-        if gflops[sw_i][i] < gflops[tape_i][i] {
-            eprintln!("FAIL: superword slower than the scalar tape at {size}");
-            failed = true;
-        }
         if simd_available() && gflops[simd_i][i] < gflops[sw_i][i] {
             eprintln!("FAIL: simd slower than the superword fallback at {size}");
             failed = true;

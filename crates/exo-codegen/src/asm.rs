@@ -91,7 +91,7 @@ pub fn emit_asm(trace: &KernelTrace) -> String {
     let total_regs: usize = 32;
     let src_count = qreg.max(1);
     for f in 0..fmas {
-        let acc = acc_base + (f as usize % (total_regs - acc_base).max(1));
+        let acc = acc_base + (f as usize % total_regs.saturating_sub(acc_base).max(1));
         let src_a = f as usize % src_count;
         let lane = f as usize % 4;
         let _ = writeln!(

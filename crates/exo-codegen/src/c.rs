@@ -881,7 +881,7 @@ fn c_ident(name: &str, used: &mut Vec<String>) -> String {
 /// multiply-add — bit-identical to the simd closure chain of the same ISA,
 /// and therefore within [`crate::fma_contraction_tol`] of the superword
 /// tier; the scalar floor is an explicit multiply-then-add, bit-identical
-/// to the superword/tape/interpreter tiers. Every other operation is an
+/// to the superword tier and the interpreter. Every other operation is an
 /// exact move, so the lowering changes register allocation, never bits.
 ///
 /// # Errors

@@ -1,16 +1,16 @@
 //! Executable lowering: compiles a scheduled procedure into a
 //! [`CompiledKernel`] that runs directly on `f32` slices.
 //!
-//! The original toolchain compiles Exo's C output with `gcc` and runs it on
-//! an ARM board. Neither is available here, so this backend provides the
-//! *functional* execution path: instruction calls are inlined back to their
-//! semantic bodies at compile time, multi-dimensional accesses are linearised
-//! into row-major address polynomials, and the kernel runs over caller
-//! provided buffers. It is used by the differential tests (generated kernel
-//! vs. naive reference), by the BLIS-like GEMM driver's functional mode, and
-//! by the wall-clock Criterion benches (where only *relative* numbers are
-//! meaningful — absolute GFLOPS figures come from the `carmel-sim`
-//! performance model).
+//! Instruction calls are inlined back to their semantic bodies at compile
+//! time, multi-dimensional accesses are linearised into row-major address
+//! polynomials, and [`CompiledKernel::run`] tree-walks the result over
+//! caller-provided buffers. It is the input of the tape compiler
+//! ([`CompiledKernel::to_tape`]), from which every execution tier is
+//! built, and the bitwise oracle of the differential tests: it computes in
+//! `f32` with one rounding per multiply and per add, exactly the
+//! arithmetic the superword tier must reproduce. (`exo_ir::interp`
+//! accumulates in `f64` and rounds once per store, so it cannot serve as
+//! that oracle.) No GEMM path dispatches through it.
 
 use exo_ir::{ArgKind, BinOp, Expr, Proc, ScalarType, Stmt, Sym};
 use exo_sched::inline_call;

@@ -10,19 +10,24 @@
 //!   analogue of the paper's Fig. 12,
 //! * [`trace::extract_trace`] — the machine-operation trace consumed by the
 //!   `carmel-sim` performance model,
-//! * [`exec::compile`] — an executable lowering used for functional
-//!   validation and wall-clock benches,
+//! * [`exec::compile`] — an executable lowering whose tree-walking
+//!   [`CompiledKernel::run`] is the bitwise oracle of the differential
+//!   tests (never a dispatch tier),
 //! * [`tape`] — a flat, register-allocated tape compiled from the executable
-//!   lowering: the scalar bytecode backend,
+//!   lowering: IR only, with no executor of its own,
 //! * [`superword`] — the superword lowering of the tape: whole-vector ops
 //!   (`VLoad`, `VStore`, `VFmaLane`, `VFmaBcast`) that execute one vector
 //!   register per dispatch over a validated, bounds-free register file —
-//!   the fastest *portable* backend, and every other tier's fallback,
-//! * [`simd`] — the native tier: the validated superword ops compiled once
-//!   per kernel into a chain of monomorphic closures over the widest
-//!   vector ISA the host can run — AVX2/FMA on x86_64, NEON on aarch64, a
-//!   bit-exact scalar reference everywhere (pin one with `EXO_ISA`) — the
-//!   fastest backend, and the one the GEMM hot path dispatches through.
+//!   the portable tier, and the bottom of the execution ladder,
+//! * [`simd`] — the in-process vector tier: the validated superword ops
+//!   compiled once per kernel into a chain of monomorphic closures over
+//!   the widest vector ISA the host can run — AVX2/FMA on x86_64, NEON on
+//!   aarch64, a bit-exact scalar reference everywhere (pin one with
+//!   `EXO_ISA`) — the fast path on hosts without a C toolchain.
+//!
+//! The native tier above them (C emitted by [`c::emit_superword_c`], built
+//! and loaded by `exo-aot`) completes the ladder: a generated kernel runs
+//! native → simd → superword, and nothing else.
 
 #![warn(missing_docs)]
 
@@ -44,6 +49,6 @@ pub use exec::{compile, CompiledKernel, RunArg};
 pub use simd::{
     active_isa, env_isa_override, fma_contraction_tol, simd_available, IsaKind, SimdDispatch, SimdKernel,
 };
-pub use superword::{SuperwordDispatch, SuperwordKernel};
-pub use tape::{TapeKernel, TensorView};
+pub use superword::{SuperwordDispatch, SuperwordKernel, TensorView};
+pub use tape::TapeKernel;
 pub use trace::{extract_trace, summarise, KernelTrace, MachineOp};

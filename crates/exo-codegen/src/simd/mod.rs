@@ -32,10 +32,10 @@
 //!   aarch64 (NEON is baseline): an 8-lane superword run re-rolls into a
 //!   pair of `float32x4_t` ops;
 //! * `scalar` — the 1-lane reference implementation, available
-//!   everywhere. Its multiply-then-add matches the superword / tape /
-//!   interpreter rounding **bit for bit**, and it also hosts the checked
-//!   reference executor those tiers fall back to when the bounds proof
-//!   declines.
+//!   everywhere. Its multiply-then-add matches the superword tier's and
+//!   the interpreter's rounding **bit for bit**, and it also hosts the
+//!   checked reference executor every tier falls back to when the bounds
+//!   proof declines.
 //!
 //! [`active_isa`] picks the widest available implementation at process
 //! start ([`IsaKind::Avx2`] → [`IsaKind::Neon`] → [`IsaKind::Scalar`]);
@@ -51,13 +51,13 @@
 //! [`SimdDispatch`] reuses the memoised proof of its inner
 //! [`SuperwordDispatch`], so steady-state micro-tile dispatch re-proves
 //! nothing; when the proof declines, execution falls back to the checked
-//! reference loop in the `scalar` module with identical error semantics
-//! to the scalar tape.
+//! reference loop in the `scalar` module, which reports the first access
+//! that leaves its buffer.
 //!
 //! **Bit compatibility.** The native FMA intrinsics *contract* the
 //! multiply-then-add of the tape's `Fma` semantics into a single rounding,
 //! so the AVX2 and NEON chains are **not** bit-identical to the
-//! superword / tape / interp tiers (they are at least as accurate: one
+//! superword tier or the interpreter (they are at least as accurate: one
 //! rounding instead of two per multiply-add). The differential suites
 //! therefore compare those chains against the references within an
 //! accumulation-scaled ULP bound — `|simd − superword| ≤
@@ -71,8 +71,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::env::env_once;
 use crate::error::Result;
-use crate::superword::{ExecScratch, SuperwordDispatch, SuperwordKernel};
-use crate::tape::TensorView;
+use crate::superword::{ExecScratch, SuperwordDispatch, SuperwordKernel, TensorView};
 
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod aarch64;
@@ -242,7 +241,7 @@ pub enum IsaKind {
     /// re-roll into pairs).
     Neon,
     /// The portable 1-lane reference implementation: available on every
-    /// host, bit-identical to the superword / tape / interpreter tiers.
+    /// host, bit-identical to the superword tier and the interpreter.
     Scalar,
 }
 
@@ -648,7 +647,7 @@ impl SimdDispatch {
             Ok(())
         } else {
             // Declined proof: the checked reference loop, which reports
-            // exactly what the scalar tape would (and memoised the declined
+            // the first out-of-bounds access (and memoised the declined
             // verdict, so retries go straight here).
             fallback.run_views(scalars, tensors)
         }
@@ -979,9 +978,8 @@ mod tests {
         for isa in available_isas() {
             let simd = Arc::new(SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap());
             // Claim N = 7 over a 2-element buffer: the interval proof
-            // declines and the checked reference loop reports exactly what
-            // the scalar tape would — including the partial stores before
-            // the error.
+            // declines and the checked reference loop reports the first
+            // out-of-bounds access — after the partial stores before it.
             let mut x = vec![0.0f32; 2];
             assert!(matches!(
                 simd.run_views(&[7], &mut [TensorView::Rw(&mut x)]),

@@ -3,7 +3,7 @@
 //! proof declines.
 //!
 //! One lane, plain `a * b + acc` multiply-then-add — **two** roundings,
-//! exactly the arithmetic of the superword / tape / interpreter tiers, so
+//! exactly the arithmetic of the superword tier and the interpreter, so
 //! a chain compiled for [`ScalarIsa`] is bit-identical to them (the
 //! differential suites assert equality, not a tolerance). It is available
 //! on every host, which makes it the floor of the runtime ISA selection:
@@ -12,15 +12,14 @@
 //! same closure chains, same fusion, reference rounding.
 //!
 //! [`exec_checked`] is the other half of the reference story: the
-//! one-lane-at-a-time checked loop (formerly a bespoke method on the
-//! superword kernel) with identical op order, rounding, and error values
-//! to the scalar tape — including the partial stores already performed
-//! when an access faults. The superword tier and every SIMD chain route
+//! one-lane-at-a-time checked loop with the scalar tape's op order and
+//! rounding, reporting the first access that leaves its buffer after the
+//! partial stores before it. The superword tier and every SIMD chain route
 //! their declined-proof path here.
 
 use crate::error::{CodegenError, Result};
-use crate::superword::{ExecScratch, SuperwordKernel, VOp};
-use crate::tape::{TOp, TensorView};
+use crate::superword::{ExecScratch, SuperwordKernel, TensorView, VOp};
+use crate::tape::TOp;
 
 use super::VectorIsa;
 

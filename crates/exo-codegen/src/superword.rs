@@ -31,18 +31,40 @@
 //! which unlocks an `unsafe` bounds-free dispatch loop behind the safe
 //! [`SuperwordKernel::run_views`] API. When the proof does not go through
 //! (an address that could leave its buffer), execution transparently falls
-//! back to a fully checked loop with semantics — including the error
-//! reported — identical to the scalar tape's.
+//! back to a fully checked loop that performs the scalar tape's ops one by
+//! one and reports the first access that leaves its buffer.
 //!
 //! Packing preserves the scalar tape's exact op order within each packed
 //! group (lanes execute in ascending order, multiplication commutes
 //! bitwise), so the superword backend is **bit-for-bit** equal to the
-//! scalar tape and the tree-walking interpreter; the differential suite in
-//! `tests/tape_exec.rs` asserts this across every registry shape.
+//! tree-walking interpreter ([`CompiledKernel::run`], the test oracle);
+//! the differential suite in `tests/tape_exec.rs` asserts this across
+//! every registry shape.
 
 use crate::error::{CodegenError, Result};
 use crate::exec::{CompiledKernel, ParamKind, RunArg};
-use crate::tape::{Addr, TOp, TapeKernel, TensorView, Term};
+use crate::tape::{Addr, TOp, TapeKernel, Term};
+
+/// A borrowed tensor argument for [`SuperwordKernel::run_views`]:
+/// read-only operands avoid the copies the [`RunArg`] interface forces on
+/// callers.
+#[derive(Debug)]
+pub enum TensorView<'a> {
+    /// A tensor the kernel only reads.
+    Ro(&'a [f32]),
+    /// A tensor the kernel may write.
+    Rw(&'a mut [f32]),
+}
+
+impl TensorView<'_> {
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[f32] {
+        match self {
+            TensorView::Ro(s) => s,
+            TensorView::Rw(s) => s,
+        }
+    }
+}
 
 /// A pre-compiled affine address: the general [`Addr`] (a heap-allocated
 /// term list walked per evaluation) specialised, at superword construction
@@ -161,8 +183,8 @@ pub(crate) enum VOp {
 ///
 /// Obtained from [`TapeKernel::to_superword`] (or
 /// [`CompiledKernel::to_superword`]). Computes bit-for-bit the same result
-/// as the scalar tape and the interpreter, dispatching one vector register
-/// per op instead of one lane.
+/// as the interpreter, dispatching one vector register per op instead of
+/// one lane.
 #[derive(Debug, Clone)]
 pub struct SuperwordKernel {
     /// Name of the source procedure.
@@ -300,7 +322,7 @@ fn pack(ops: &[TOp]) -> Result<Vec<VOp>> {
     let mut i = 0;
     while i < ops.len() {
         match &ops[i] {
-            TOp::LoopBegin { slot, lo, hi, .. } => {
+            TOp::LoopBegin { slot, lo, hi } => {
                 begin_stack.push(out.len());
                 out.push(VOp::LoopBegin {
                     slot: *slot,
@@ -310,7 +332,7 @@ fn pack(ops: &[TOp]) -> Result<Vec<VOp>> {
                 });
                 i += 1;
             }
-            TOp::LoopEnd { slot, .. } => {
+            TOp::LoopEnd { slot } => {
                 let begin = begin_stack.pop().ok_or_else(|| unsupported("unbalanced loop end"))?;
                 out.push(VOp::LoopEnd { slot: *slot, begin: begin as u32 });
                 let end = out.len() as u32;
@@ -552,7 +574,7 @@ impl CompiledKernel {
     /// # Errors
     ///
     /// Returns [`CodegenError::Unsupported`] for constructs the tape cannot
-    /// register-allocate; callers keep the interpreter as the fallback.
+    /// register-allocate.
     pub fn to_superword(&self) -> Result<SuperwordKernel> {
         self.to_tape()?.to_superword()
     }
@@ -858,7 +880,7 @@ impl SuperwordKernel {
         scratch: &mut ExecScratch,
     ) {
         // The register file starts at zero on every run, exactly like the
-        // scalar tape's freshly allocated one; loop slots are always written
+        // interpreter's freshly allocated locals; loop slots are always written
         // by their `LoopBegin` before being read.
         scratch.regs.fill(0.0);
         let ExecScratch { regs, loops, bounds } = scratch;
@@ -1153,7 +1175,7 @@ mod tests {
     /// scheduled micro-kernel lowers to: the `C` tile and both operand
     /// stages live in locals (registers), so the tape scalarises them into
     /// exactly the lane runs the superword pass re-rolls.
-    fn staged_kernels() -> (TapeKernel, SuperwordKernel) {
+    fn staged_kernels() -> (CompiledKernel, TapeKernel, SuperwordKernel) {
         let (mr, nr) = (8i64, 4i64);
         let p = proc("ukr_8x4_staged")
             .size_arg("KC")
@@ -1233,21 +1255,31 @@ mod tests {
         let compiled = compile(&p).unwrap();
         let tape = compiled.to_tape().unwrap();
         let sw = tape.to_superword().unwrap();
-        (tape, sw)
+        (compiled, tape, sw)
+    }
+
+    /// The interpreter oracle on the packed `(KC, Ac, Bc, C)` signature
+    /// (its argument interface takes every tensor mutably, hence the
+    /// operand copies).
+    fn interp_packed(compiled: &CompiledKernel, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        let (mut a, mut b) = (a.to_vec(), b.to_vec());
+        let mut args =
+            [RunArg::Size(kc as i64), RunArg::Tensor(&mut a), RunArg::Tensor(&mut b), RunArg::Tensor(c)];
+        compiled.run(&mut args).unwrap();
     }
 
     #[test]
-    fn superword_matches_the_scalar_tape_bit_for_bit() {
-        let (tape, sw) = staged_kernels();
+    fn superword_matches_the_interpreter_bit_for_bit() {
+        let (compiled, _, sw) = staged_kernels();
         let (mr, nr, kc) = (8usize, 4usize, 29usize);
         let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + 3) % 13) as f32 * 0.5 - 2.0).collect();
         let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.25 - 1.0).collect();
         let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32 * 0.5).collect();
-        let mut c_tape = c0.clone();
-        tape.run_packed(kc, &a, &b, &mut c_tape).unwrap();
+        let mut c_interp = c0.clone();
+        interp_packed(&compiled, kc, &a, &b, &mut c_interp);
         let mut c_sw = c0.clone();
         sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
-        assert_eq!(c_tape, c_sw, "superword must be bit-for-bit equal to the scalar tape");
+        assert_eq!(c_interp, c_sw, "superword must be bit-for-bit equal to the interpreter");
     }
 
     #[test]
@@ -1258,22 +1290,21 @@ mod tests {
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
         let p = exo_sched::partial_eval(&p, &[4, 4]).unwrap();
         let compiled = compile(&p).unwrap();
-        let tape = compiled.to_tape().unwrap();
-        let sw = tape.to_superword().unwrap();
+        let sw = compiled.to_superword().unwrap();
         let kc = 13usize;
         let a: Vec<f32> = (0..kc * 4).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
         let b: Vec<f32> = (0..kc * 4).map(|i| (i % 5) as f32 * 0.5 - 1.0).collect();
         let c0: Vec<f32> = (0..16).map(|i| i as f32 * 0.125).collect();
-        let mut c_tape = c0.clone();
-        tape.run_packed(kc, &a, &b, &mut c_tape).unwrap();
+        let mut c_interp = c0.clone();
+        interp_packed(&compiled, kc, &a, &b, &mut c_interp);
         let mut c_sw = c0.clone();
         sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
-        assert_eq!(c_tape, c_sw);
+        assert_eq!(c_interp, c_sw);
     }
 
     #[test]
     fn packing_produces_whole_vector_ops() {
-        let (tape, sw) = staged_kernels();
+        let (_, tape, sw) = staged_kernels();
         assert!(sw.vector_op_count() > 0, "the staged 8x4 kernel must pack");
         // Packing re-rolls lane runs, so the superword tape is much shorter
         // than the scalar one; the FMA stream packs completely.
@@ -1283,13 +1314,33 @@ mod tests {
 
     #[test]
     fn empty_kc_loops_skip_their_body() {
-        let (_, sw) = staged_kernels();
+        let (_, _, sw) = staged_kernels();
         // kc = 0: the packed operands are empty, the KC loop never runs, and
         // the interval proof must skip its body rather than reject it.
         let mut c = vec![1.0f32; 32];
         let before = c.clone();
         sw.run_packed(0, &[], &[], &mut c).unwrap();
         assert_eq!(c, before, "kc = 0 stages C through registers and writes it back unchanged");
+    }
+
+    #[test]
+    fn f16_rounding_matches_the_tape() {
+        // The tape records every f16 store as a rounding point; packing it
+        // into superword form must keep each one, so the result equals the
+        // interpreter and the half-precision values computed by hand.
+        let p = proc("round16")
+            .tensor_arg("out", ScalarType::F16, vec![int(2)], MemSpace::Dram)
+            .body(vec![assign("out", vec![int(0)], flt(1.0 + 1.0e-5)), reduce("out", vec![int(1)], flt(0.1))])
+            .build();
+        let compiled = compile(&p).unwrap();
+        let sw = compiled.to_tape().unwrap().to_superword().unwrap();
+        let mut out_interp = vec![0.0f32, 3.0];
+        compiled.run(&mut [RunArg::Tensor(&mut out_interp)]).unwrap();
+        let mut out_sw = vec![0.0f32, 3.0];
+        sw.run(&mut [RunArg::Tensor(&mut out_sw)]).unwrap();
+        assert_eq!(out_interp, out_sw);
+        assert_eq!(out_sw[0], 1.0);
+        assert_eq!(out_sw[1], exo_ir::types::f16_round(3.0 + 0.1) as f32);
     }
 
     #[test]
@@ -1302,34 +1353,18 @@ mod tests {
         let sw = compile(&p).unwrap().to_superword().unwrap();
         let mut x = vec![0.0f32; 2];
         // Claim N = 7 over a 2-element buffer: the interval proof declines,
-        // the checked loop reports exactly what the scalar tape would.
+        // and the checked loop reports the first out-of-bounds store.
         assert!(matches!(
             sw.run(&mut [RunArg::Size(7), RunArg::Tensor(&mut x)]),
             Err(CodegenError::OutOfBounds { .. })
         ));
-        // The first two stores landed before the error, like the tape's.
+        // The first two stores landed before the error.
         assert_eq!(x, vec![1.0, 1.0]);
     }
 
     #[test]
-    fn f16_rounding_matches_the_tape() {
-        let p = proc("round16")
-            .tensor_arg("out", ScalarType::F16, vec![int(2)], MemSpace::Dram)
-            .body(vec![assign("out", vec![int(0)], flt(1.0 + 1.0e-5)), reduce("out", vec![int(1)], flt(0.1))])
-            .build();
-        let compiled = compile(&p).unwrap();
-        let tape = compiled.to_tape().unwrap();
-        let sw = tape.to_superword().unwrap();
-        let mut out_tape = vec![0.0f32, 3.0];
-        tape.run(&mut [RunArg::Tensor(&mut out_tape)]).unwrap();
-        let mut out_sw = vec![0.0f32, 3.0];
-        sw.run(&mut [RunArg::Tensor(&mut out_sw)]).unwrap();
-        assert_eq!(out_tape, out_sw);
-    }
-
-    #[test]
     fn written_tensors_and_argument_mismatches_are_rejected() {
-        let (_, sw) = staged_kernels();
+        let (_, _, sw) = staged_kernels();
         assert!(!sw.writes_tensor(0) && !sw.writes_tensor(1) && sw.writes_tensor(2));
         let a = vec![0.0f32; 8];
         let b = vec![0.0f32; 4];
@@ -1342,7 +1377,7 @@ mod tests {
 
     #[test]
     fn dispatch_handle_matches_one_shot_runs_and_memoises_proofs() {
-        let (_, sw) = staged_kernels();
+        let (_, _, sw) = staged_kernels();
         let sw = std::sync::Arc::new(sw);
         let mut dispatch = sw.dispatcher();
         let (mr, nr) = (8usize, 4usize);
@@ -1378,7 +1413,7 @@ mod tests {
             dispatch.run_views(&[7], &mut [TensorView::Rw(&mut x)]),
             Err(CodegenError::OutOfBounds { .. })
         ));
-        assert_eq!(x, vec![1.0, 1.0], "partial stores before the error, like the tape's");
+        assert_eq!(x, vec![1.0, 1.0], "partial stores before the error, like the one-shot run's");
         // The failed proof is memoised too: a retry with the same inputs
         // goes straight back to the checked loop.
         assert_eq!(dispatch.memoised_proofs(), 1);
@@ -1416,8 +1451,7 @@ mod tests {
             ])
             .build();
         let compiled = compile(&p).unwrap();
-        let tape = compiled.to_tape().unwrap();
-        let sw = tape.to_superword().unwrap();
+        let sw = compiled.to_superword().unwrap();
         assert!(sw.ops.iter().any(|op| matches!(op, VOp::VFmaBcast { lanes: 4, .. })), "{:?}", sw.ops);
         assert!(sw.ops.iter().any(|op| matches!(op, VOp::VLoad { lanes: 4, .. })));
         assert!(sw.ops.iter().any(|op| matches!(op, VOp::VStore { lanes: 4, .. })));
@@ -1430,7 +1464,7 @@ mod tests {
             k(&mut [RunArg::Tensor(&mut xb), RunArg::Tensor(&mut sb), RunArg::Tensor(&mut y)]).unwrap();
             y
         };
-        assert_eq!(run(&|args| tape.run(args)), run(&|args| sw.run(args)));
+        assert_eq!(run(&|args| compiled.run(args)), run(&|args| sw.run(args)));
         assert_eq!(run(&|args| sw.run(args)), vec![0.75, -1.0, 0.125, 1.5]);
     }
 }

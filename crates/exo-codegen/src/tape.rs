@@ -1,12 +1,12 @@
-//! Tape-compiled execution: a flat, register-allocated lowering of a
+//! Tape compilation: a flat, register-allocated lowering of a
 //! [`CompiledKernel`].
 //!
 //! The tree-walking interpreter in [`crate::exec`] re-evaluates boxed
 //! expression nodes, re-linearises addresses, and re-allocates locals on
-//! every statement it touches — fine for validation, orders of magnitude off
-//! for a hot GEMM inner loop. `to_tape` compiles the same kernel once more,
-//! this time into a *tape*: a linear array of ops over a flat `f32` register
-//! file.
+//! every statement it touches — fine as a reference, orders of magnitude
+//! off for a hot GEMM inner loop. `to_tape` compiles the same kernel once
+//! more, this time into a *tape*: a linear array of ops over a flat `f32`
+//! register file.
 //!
 //! * Constant-trip loops (the register-tile loops of a micro-kernel) are
 //!   fully unrolled at tape-build time.
@@ -18,18 +18,21 @@
 //!   dynamic (the `KC` loop) — no expression trees survive to run time.
 //! * Remaining loops (`for k in 0..KC`) are tape-level jump pairs.
 //!
-//! The tape executes the *identical* sequence of f32 operations as the
-//! interpreter (same order, same mul-then-add rounding, same f16 rounding
-//! points), so results are bit-for-bit equal — the differential suite
-//! asserts this. Constructs the tape cannot register-allocate (dynamically
-//! sized locals, data-dependent branches, non-affine addresses) fail
-//! `to_tape` with [`CodegenError::Unsupported`]; callers keep the
-//! interpreter as the fallback.
+//! The tape is IR only: it has no executor of its own. The superword pass
+//! ([`crate::superword`]) re-rolls it into whole-vector ops and runs it,
+//! and the simd and native tiers are compiled from that lowering. The tape
+//! keeps the interpreter's exact sequence of f32 operations (same order,
+//! same mul-then-add rounding, same f16 rounding points), so every tier
+//! built on it can be held bit-for-bit against [`CompiledKernel::run`].
+//! Constructs the tape cannot register-allocate (dynamically sized locals,
+//! data-dependent branches, non-affine addresses) fail `to_tape` with
+//! [`CodegenError::Unsupported`], and the generator reports the shape as
+//! unsupported.
 
 use std::collections::HashMap;
 
 use crate::error::{CodegenError, Result};
-use crate::exec::{BufSlot, CompiledKernel, IExpr, Op, ParamKind, RunArg, VExpr};
+use crate::exec::{BufSlot, CompiledKernel, IExpr, Op, ParamKind, VExpr};
 
 /// Loops with a constant trip count at or below this are unrolled; longer
 /// ones stay dynamic loops on the tape.
@@ -161,37 +164,17 @@ pub(crate) enum TOp {
     Round { reg: u32 },
     /// Zero `len` registers starting at `base` (local-buffer allocation).
     Zero { base: u32, len: u32 },
-    /// Enter a dynamic loop: evaluate bounds, jump to `end` if empty.
-    LoopBegin { slot: u16, lo: Addr, hi: Addr, end: u32 },
-    /// Bottom of a dynamic loop: bump the counter, jump back while it holds.
-    LoopEnd { slot: u16, begin: u32 },
-}
-
-/// A borrowed tensor argument for [`TapeKernel::run_views`]: read-only
-/// operands avoid the copies the [`RunArg`] interface forces on callers.
-#[derive(Debug)]
-pub enum TensorView<'a> {
-    /// A tensor the kernel only reads.
-    Ro(&'a [f32]),
-    /// A tensor the kernel may write.
-    Rw(&'a mut [f32]),
-}
-
-impl TensorView<'_> {
-    #[inline]
-    pub(crate) fn as_slice(&self) -> &[f32] {
-        match self {
-            TensorView::Ro(s) => s,
-            TensorView::Rw(s) => s,
-        }
-    }
+    /// Enter a dynamic loop over `lo..hi` (jump targets are assigned by
+    /// the superword pass, which re-lays the op list out).
+    LoopBegin { slot: u16, lo: Addr, hi: Addr },
+    /// Bottom of a dynamic loop.
+    LoopEnd { slot: u16 },
 }
 
 /// A kernel compiled to a flat tape of register ops.
 ///
-/// Obtained from [`CompiledKernel::to_tape`]. Runs the same computation as
-/// the interpreter bit-for-bit, typically one to two orders of magnitude
-/// faster.
+/// Obtained from [`CompiledKernel::to_tape`]; executed through its
+/// superword lowering ([`TapeKernel::to_superword`]).
 #[derive(Debug, Clone)]
 pub struct TapeKernel {
     /// Name of the source procedure.
@@ -205,16 +188,6 @@ pub struct TapeKernel {
 }
 
 impl TapeKernel {
-    /// Number of parameters (scalar and tensor) the kernel expects.
-    pub fn param_count(&self) -> usize {
-        self.params.len()
-    }
-
-    /// Parameter names in signature order.
-    pub fn param_names(&self) -> Vec<&str> {
-        self.params.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
     /// Number of ops on the tape.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -235,194 +208,6 @@ impl TapeKernel {
     pub fn writes_tensor(&self, idx: usize) -> bool {
         self.tensor_written.get(idx).copied().unwrap_or(false)
     }
-
-    /// Runs the tape through the same argument interface as
-    /// [`CompiledKernel::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError::BadArguments`] on an argument-count or kind
-    /// mismatch and [`CodegenError::OutOfBounds`] if an access leaves its
-    /// buffer.
-    pub fn run(&self, args: &mut [RunArg<'_>]) -> Result<()> {
-        if args.len() != self.params.len() {
-            return Err(CodegenError::BadArguments {
-                reason: format!(
-                    "tape kernel `{}` expects {} arguments, got {}",
-                    self.name,
-                    self.params.len(),
-                    args.len()
-                ),
-            });
-        }
-        let mut scalars = Vec::new();
-        let mut tensors: Vec<TensorView<'_>> = Vec::new();
-        for ((name, kind), arg) in self.params.iter().zip(args.iter_mut()) {
-            match (kind, arg) {
-                (ParamKind::Scalar, RunArg::Size(v)) => scalars.push(*v),
-                (ParamKind::Tensor, RunArg::Tensor(t)) => tensors.push(TensorView::Rw(t)),
-                _ => {
-                    return Err(CodegenError::BadArguments {
-                        reason: format!("argument `{name}` has the wrong kind"),
-                    })
-                }
-            }
-        }
-        self.exec(&scalars, &mut tensors)
-    }
-
-    /// Runs the tape over borrowed tensor views, avoiding the defensive
-    /// copies [`RunArg`] forces for read-only operands.
-    ///
-    /// `scalars` and `tensors` are matched to the scalar and tensor
-    /// parameters in signature order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError::BadArguments`] if the counts do not match or
-    /// a read-only view is passed for a tensor the tape writes, and
-    /// [`CodegenError::OutOfBounds`] for accesses that leave a buffer.
-    pub fn run_views(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        let n_scalars = self.params.iter().filter(|(_, k)| *k == ParamKind::Scalar).count();
-        let n_tensors = self.params.len() - n_scalars;
-        if scalars.len() != n_scalars || tensors.len() != n_tensors {
-            return Err(CodegenError::BadArguments {
-                reason: format!(
-                    "tape kernel `{}` expects {n_scalars} scalars and {n_tensors} tensors, got {} and {}",
-                    self.name,
-                    scalars.len(),
-                    tensors.len()
-                ),
-            });
-        }
-        for (i, view) in tensors.iter().enumerate() {
-            if matches!(view, TensorView::Ro(_)) && self.tensor_written[i] {
-                return Err(CodegenError::BadArguments {
-                    reason: format!(
-                        "tape kernel `{}` writes tensor parameter {i}, which was passed read-only",
-                        self.name
-                    ),
-                });
-            }
-        }
-        self.exec(scalars, tensors)
-    }
-
-    /// Runs a packed micro-kernel signature `(KC, Ac, Bc, C)`:
-    /// `c[nr][mr] += ac[kc][mr] * bc[kc][nr]` without copying the operands.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError::BadArguments`] if the kernel does not have
-    /// the one-scalar/three-tensor packed signature or writes its packed
-    /// operands, and propagates execution errors.
-    pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        let n_scalars = self.params.iter().filter(|(_, k)| *k == ParamKind::Scalar).count();
-        if n_scalars != 1 || self.params.len() != 4 {
-            return Err(CodegenError::BadArguments {
-                reason: format!(
-                    "tape kernel `{}` does not have the packed (KC, Ac, Bc, C) signature",
-                    self.name
-                ),
-            });
-        }
-        self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
-    }
-
-    fn exec(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        let mut regs = vec![0.0f32; self.n_regs];
-        let mut loops = vec![0i64; self.n_dyn_loops];
-        let mut bounds = vec![0i64; self.n_dyn_loops];
-        let ops = &self.ops;
-        let mut pc = 0usize;
-        while pc < ops.len() {
-            match &ops[pc] {
-                TOp::Fma { dst, a, b } => {
-                    let v = regs[*a as usize] * regs[*b as usize];
-                    regs[*dst as usize] += v;
-                }
-                TOp::LoadT { dst, buf, addr } => {
-                    let idx = addr.eval(&loops, scalars);
-                    let slice = tensors[*buf as usize].as_slice();
-                    regs[*dst as usize] = *slice.get(usize::try_from(idx).unwrap_or(usize::MAX)).ok_or(
-                        CodegenError::OutOfBounds {
-                            buf: format!("Arg({buf})"),
-                            index: idx,
-                            len: slice.len(),
-                        },
-                    )?;
-                }
-                TOp::StoreT { src, buf, addr } => {
-                    let idx = addr.eval(&loops, scalars);
-                    let value = regs[*src as usize];
-                    match &mut tensors[*buf as usize] {
-                        TensorView::Rw(slice) => {
-                            let len = slice.len();
-                            *slice.get_mut(usize::try_from(idx).unwrap_or(usize::MAX)).ok_or(
-                                CodegenError::OutOfBounds { buf: format!("Arg({buf})"), index: idx, len },
-                            )? = value;
-                        }
-                        TensorView::Ro(_) => {
-                            return Err(CodegenError::BadArguments {
-                                reason: format!("store to read-only tensor parameter {buf}"),
-                            })
-                        }
-                    }
-                }
-                TOp::ConstF { dst, val } => regs[*dst as usize] = *val,
-                TOp::Mov { dst, src } => regs[*dst as usize] = regs[*src as usize],
-                TOp::Add { dst, a, b } => {
-                    let v = regs[*a as usize] + regs[*b as usize];
-                    regs[*dst as usize] = v;
-                }
-                TOp::Sub { dst, a, b } => {
-                    let v = regs[*a as usize] - regs[*b as usize];
-                    regs[*dst as usize] = v;
-                }
-                TOp::Mul { dst, a, b } => {
-                    let v = regs[*a as usize] * regs[*b as usize];
-                    regs[*dst as usize] = v;
-                }
-                TOp::Div { dst, a, b } => {
-                    let v = regs[*a as usize] / regs[*b as usize];
-                    regs[*dst as usize] = v;
-                }
-                TOp::Neg { dst, src } => regs[*dst as usize] = -regs[*src as usize],
-                TOp::AddAssign { dst, src } => {
-                    let v = regs[*src as usize];
-                    regs[*dst as usize] += v;
-                }
-                TOp::CastI { dst, value } => regs[*dst as usize] = value.eval(&loops, scalars) as f32,
-                TOp::Round { reg } => {
-                    let r = &mut regs[*reg as usize];
-                    *r = exo_ir::types::f16_round(*r as f64) as f32;
-                }
-                TOp::Zero { base, len } => {
-                    regs[*base as usize..(*base + *len) as usize].fill(0.0);
-                }
-                TOp::LoopBegin { slot, lo, hi, end } => {
-                    let l = lo.eval(&loops, scalars);
-                    let h = hi.eval(&loops, scalars);
-                    if l >= h {
-                        pc = *end as usize;
-                        continue;
-                    }
-                    loops[*slot as usize] = l;
-                    bounds[*slot as usize] = h;
-                }
-                TOp::LoopEnd { slot, begin } => {
-                    let s = *slot as usize;
-                    loops[s] += 1;
-                    if loops[s] < bounds[s] {
-                        pc = *begin as usize + 1;
-                        continue;
-                    }
-                }
-            }
-            pc += 1;
-        }
-        Ok(())
-    }
 }
 
 impl CompiledKernel {
@@ -433,7 +218,6 @@ impl CompiledKernel {
     /// Returns [`CodegenError::Unsupported`] for constructs the tape cannot
     /// register-allocate: dynamically sized locals, dynamic indices into
     /// locals, data-dependent branches, and non-affine index arithmetic.
-    /// Callers should fall back to [`CompiledKernel::run`] in that case.
     pub fn to_tape(&self) -> Result<TapeKernel> {
         let mut b = TapeBuilder {
             ops: Vec::new(),
@@ -763,14 +547,9 @@ impl TapeBuilder {
                 let slot = self.n_dyn as u16;
                 self.n_dyn += 1;
                 let saved = self.loop_bind.insert(*var, LoopBind::Dyn(slot));
-                let begin = self.ops.len();
-                self.push(TOp::LoopBegin { slot, lo: lo_a.into_addr(), hi: hi_a.into_addr(), end: 0 })?;
+                self.push(TOp::LoopBegin { slot, lo: lo_a.into_addr(), hi: hi_a.into_addr() })?;
                 self.block(body)?;
-                self.push(TOp::LoopEnd { slot, begin: begin as u32 })?;
-                let end = self.ops.len() as u32;
-                if let TOp::LoopBegin { end: e, .. } = &mut self.ops[begin] {
-                    *e = end;
-                }
+                self.push(TOp::LoopEnd { slot })?;
                 match saved {
                     Some(bind) => self.loop_bind.insert(*var, bind),
                     None => self.loop_bind.remove(var),
@@ -846,7 +625,8 @@ impl TapeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::compile;
+    use crate::exec::{compile, RunArg};
+    use crate::superword::TensorView;
     use exo_ir::builder::*;
     use exo_ir::{MemSpace, ScalarType};
 
@@ -861,9 +641,12 @@ mod tests {
         (compiled, tape)
     }
 
+    /// The tape has no executor of its own: these tests run it through its
+    /// superword lowering, the executor every tier is built on.
     #[test]
     fn tape_matches_interpreter_bit_for_bit_on_the_reference_kernel() {
         let (compiled, tape) = reference_tape();
+        let sw = tape.to_superword().unwrap();
         let (mr, nr, kc) = (8usize, 12usize, 29usize);
         let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + 3) % 13) as f32 * 0.5 - 2.0).collect();
         let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.25 - 1.0).collect();
@@ -883,12 +666,12 @@ mod tests {
             c
         };
         let c_interp = run(&|args| compiled.run(args));
-        let c_tape = run(&|args| tape.run(args));
+        let c_tape = run(&|args| sw.run(args));
         assert_eq!(c_interp, c_tape, "tape must be bit-for-bit equal to the interpreter");
 
         // The zero-copy packed entry point computes the same values.
         let mut c_packed = c0.clone();
-        tape.run_packed(kc, &a, &b, &mut c_packed).unwrap();
+        sw.run_packed(kc, &a, &b, &mut c_packed).unwrap();
         assert_eq!(c_interp, c_packed);
     }
 
@@ -903,7 +686,8 @@ mod tests {
         let a = vec![0.0f32; 8];
         let b = vec![0.0f32; 12];
         let c = vec![0.0f32; 96];
-        let err = tape.run_views(&[1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
+        let sw = tape.to_superword().unwrap();
+        let err = sw.run_views(&[1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
         assert!(matches!(err, Err(CodegenError::BadArguments { .. })));
     }
 
@@ -916,29 +700,13 @@ mod tests {
     }
 
     #[test]
-    fn fully_symbolic_kernels_fall_back_to_the_interpreter() {
+    fn fully_symbolic_kernels_are_declined() {
         // Without partial evaluation the tile loops multiply two unknowns
-        // (`k * MR`), which is not affine: the tape refuses, and callers keep
-        // the interpreter.
+        // (`k * MR`), which is not affine: the tape refuses (and the
+        // generator reports such a shape as unsupported).
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
         let compiled = compile(&p).unwrap();
         assert!(matches!(compiled.to_tape(), Err(CodegenError::Unsupported { .. })));
-    }
-
-    #[test]
-    fn out_of_bounds_accesses_are_reported() {
-        let p = proc("oob")
-            .size_arg("N")
-            .tensor_arg("x", ScalarType::F32, vec![var("N")], MemSpace::Dram)
-            .body(vec![for_("i", 0, var("N"), vec![assign("x", vec![var("i")], flt(1.0))])])
-            .build();
-        let tape = compile(&p).unwrap().to_tape().unwrap();
-        let mut x = vec![0.0f32; 2];
-        // Claim N = 7 over a 2-element buffer.
-        assert!(matches!(
-            tape.run(&mut [RunArg::Size(7), RunArg::Tensor(&mut x)]),
-            Err(CodegenError::OutOfBounds { .. })
-        ));
     }
 
     #[test]
@@ -948,19 +716,12 @@ mod tests {
             .body(vec![assign("out", vec![int(0)], flt(1.0 + 1.0e-5)), reduce("out", vec![int(1)], flt(0.1))])
             .build();
         let compiled = compile(&p).unwrap();
-        let tape = compiled.to_tape().unwrap();
+        let sw = compiled.to_tape().unwrap().to_superword().unwrap();
         let mut out_interp = vec![0.0f32, 3.0];
         compiled.run(&mut [RunArg::Tensor(&mut out_interp)]).unwrap();
         let mut out_tape = vec![0.0f32, 3.0];
-        tape.run(&mut [RunArg::Tensor(&mut out_tape)]).unwrap();
+        sw.run(&mut [RunArg::Tensor(&mut out_tape)]).unwrap();
         assert_eq!(out_interp, out_tape);
         assert_eq!(out_interp[0], 1.0);
-    }
-
-    #[test]
-    fn argument_mismatches_are_reported() {
-        let (_, tape) = reference_tape();
-        let mut too_few = vec![RunArg::Size(1)];
-        assert!(matches!(tape.run(&mut too_few), Err(CodegenError::BadArguments { .. })));
     }
 }

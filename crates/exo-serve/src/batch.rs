@@ -33,9 +33,10 @@
 //! the batch completes. A failed or panicked entry whose `beta == 0` (its
 //! `C` is never read, so a re-run fully overwrites any partial write) is
 //! retried **once on the next execution tier down** the ladder
-//! native → simd → superword → tape → interp
-//! ([`gemm_blis::ExecBackend::degraded`]);
-//! a retried success is stamped [`GemmStats::degraded`]. The
+//! native → simd → superword, counted from the kernel's configured
+//! backend ([`gemm_blis::ExecBackend::degraded`]); an entry already pinned
+//! to superword has no tier below it and keeps its original error. A
+//! retried success is stamped [`GemmStats::degraded`]. The
 //! [`BatchReport`] carries the per-entry outcomes plus the isolation
 //! tallies (panics caught, retries, degraded completions).
 
@@ -201,11 +202,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// when given, the driver's own path (block-loop threading for large
 /// entries) otherwise. A panic is contained and resolved as
 /// [`GemmError::JobPanicked`]. Executional failures — contained panics and
-/// kernel errors — are retried once on the next backend tier down, but
-/// only when `beta == 0`: a failed attempt may have partially written `C`,
-/// and only the never-reads-`C` contract makes a re-run equivalent to a
-/// clean first run. (Under an `EXO_BACKEND` override the dispatch tier is
-/// pinned, so the "degraded" retry re-runs the forced tier.)
+/// kernel errors — are retried once on the tier below the kernel's
+/// configured backend, but only when `beta == 0`: a failed attempt may
+/// have partially written `C`, and only the never-reads-`C` contract makes
+/// a re-run equivalent to a clean first run. (Under an `EXO_BACKEND`
+/// override the dispatch tier is pinned, so the "degraded" retry re-runs
+/// the forced tier.)
 fn run_entry(
     driver: &BlisGemm,
     runner: Option<&mut GemmRunner<'_>>,
@@ -236,7 +238,7 @@ fn run_entry(
     if !executional || problem.beta != 0.0 {
         return Err(failure);
     }
-    let Some(tier) = driver.kernel().backend.effective().degraded() else {
+    let Some(tier) = driver.kernel().backend.degraded() else {
         return Err(failure);
     };
     tally.retries.fetch_add(1, Ordering::Relaxed);

@@ -39,8 +39,9 @@
 //!   **only that job** with [`gemm_blis::GemmError::JobPanicked`]; the rest
 //!   of the batch completes normally and the pool respawns dead workers.
 //! - Executional failures on `beta == 0` jobs are retried once on the next
-//!   backend tier down (`native → simd → superword → tape`); successes are
-//!   stamped `degraded` in their [`gemm_blis::GemmStats`].
+//!   backend tier down (`native → simd → superword`, below the kernel's
+//!   configured backend; a superword-pinned job is not retried); successes
+//!   are stamped `degraded` in their [`gemm_blis::GemmStats`].
 //! - Jobs carry optional queue deadlines ([`GemmJob::deadline`]); expired
 //!   jobs resolve with `DeadlineExceeded` instead of executing stale work.
 //! - If the collector thread itself dies, every outstanding and future

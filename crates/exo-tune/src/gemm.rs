@@ -25,16 +25,15 @@ pub struct TunedRun {
 
 /// Autotuned GEMM: searches-or-loads per problem shape, then dispatches.
 ///
-/// Dispatch goes through the fastest execution backend the host supports —
-/// generated kernels carry their tape, superword, and (on AVX2/FMA hosts)
-/// native SIMD closure-chain lowerings, and the driver picks in the order
-/// simd → superword → tape → interp — the arena-based five-loop driver,
-/// and, when [`TunedGemm::with_threads`] raises the knob, the threaded
-/// block loop. The `EXO_BACKEND` environment override
-/// (`simd|superword|tape|interp`) is honored, so any tier is forceable for
-/// debugging. Use it through [`GemmExecutor::gemm`] like every other
-/// driver, or through [`TunedGemm::execute`] to also receive the tuning
-/// verdict.
+/// Dispatch goes through the fastest tier of the execution ladder the host
+/// supports — native (the ahead-of-time compiled artifact, once its
+/// background build has promoted) → simd (the closure chain of the active
+/// vector ISA) → superword — on the five-loop driver, and, when
+/// [`TunedGemm::with_threads`] raises the knob, its threaded block loop.
+/// The `EXO_BACKEND` environment override (`native|simd|superword`) is
+/// honored, so any tier is forceable for debugging. Use it through
+/// [`GemmExecutor::gemm`] like every other driver, or through
+/// [`TunedGemm::execute`] to also receive the tuning verdict.
 #[derive(Debug, Default)]
 pub struct TunedGemm {
     tuner: Tuner,

@@ -13,29 +13,25 @@
 //! * `beta` is applied on the `C` write-back path of the **first** k-block
 //!   only — later k-blocks accumulate — and `beta == 0` never reads `C`.
 //!
-//! The driver has two modes:
-//!
-//! * the default **arena** hot path — a [`crate::packing::PackArena`], the
-//!   staged `C` tile, and a prove-once [`KernelDispatch`] per worker are
-//!   allocated once per GEMM and reused across every `(jc, pc, ic)`
-//!   iteration, and one of the block loops can optionally be spread over a
-//!   scoped thread pool ([`BlisGemm::with_threads`]): the `ic` loop by
-//!   default (disjoint row blocks of `C`), or the `jc` loop when the
-//!   problem is wide and short (large `n`, small `m` — disjoint nc-wide
-//!   column blocks, each staged through a private dense copy). Either way
-//!   every `C` element is computed by exactly one worker in the sequential
-//!   op order, so the result is bit-for-bit identical for any thread count;
-//! * the legacy **unbuffered** path ([`BlisGemm::without_arena`]) that
-//!   allocates fresh buffers per block, kept as a baseline for the
-//!   `gemm_throughput` bench and for differential tests.
+//! The driver is allocation-free in its loops: a
+//! [`crate::packing::PackArena`], the staged `C` tile, and a prove-once
+//! [`KernelDispatch`] per worker are allocated once per GEMM (or once per
+//! [`GemmRunner`]) and reused across every `(jc, pc, ic)` iteration, and
+//! one of the block loops can optionally be spread over a scoped thread
+//! pool ([`BlisGemm::with_threads`]): the `ic` loop by default (disjoint
+//! row blocks of `C`), or the `jc` loop when the problem is wide and short
+//! (large `n`, small `m` — disjoint nc-wide column blocks, each staged
+//! through a private dense copy). Either way every `C` element is computed
+//! by exactly one worker in the sequential op order, so the result is
+//! bit-for-bit identical for any thread count.
 //!
 //! Correctness for arbitrary (including fringe) problem sizes is the point;
-//! with tape-compiled kernels the same entry point is also the fast path.
+//! with generated kernels the same entry point is also the fast path.
 //! Modelled performance questions go through [`crate::model`] instead.
 
 use crate::baselines::{neon_intrinsics_kernel, KernelDispatch, KernelImpl};
 use crate::blocking::BlockingParams;
-use crate::packing::{a_panel, b_panel, pack_a, pack_a_into, pack_b, pack_b_into, PackArena};
+use crate::packing::{a_panel, b_panel, pack_a_into, pack_b_into, PackArena};
 use crate::pool::{PoolJob, ThreadPool};
 use crate::problem::{GemmExecutor, GemmProblem, GemmStats};
 use crate::views::{MatMut, MatRef};
@@ -225,24 +221,21 @@ pub struct BlisGemm {
     /// Cache blocking parameters.
     pub blocking: BlockingParams,
     /// Maximum parallelism drawn from the shared worker pool
-    /// ([`ThreadPool::global`]) for the arena path's parallel block loop
-    /// (`ic` rows by default, `jc` columns for wide-and-short problems).
-    /// `1` is fully sequential; `0` means "the pool's full width" (the
-    /// machine, or the `EXO_THREADS` override).
+    /// ([`ThreadPool::global`]) for the parallel block loop (`ic` rows by
+    /// default, `jc` columns for wide-and-short problems). `1` is fully
+    /// sequential; `0` means "the pool's full width" (the machine, or the
+    /// `EXO_THREADS` override).
     pub threads: usize,
-    /// Whether to use the zero-allocation arena hot path (default) or the
-    /// legacy allocate-per-block path.
-    pub use_arena: bool,
     /// The micro-kernel the [`GemmExecutor`] entry point dispatches.
     kernel: KernelImpl,
 }
 
 impl BlisGemm {
-    /// Creates a driver with the given blocking (arena path, single thread,
-    /// and the hand-written NEON 8x12 kernel as the executor default —
-    /// override with [`BlisGemm::with_kernel`]).
+    /// Creates a driver with the given blocking (single thread, and the
+    /// hand-written NEON 8x12 kernel as the executor default — override
+    /// with [`BlisGemm::with_kernel`]).
     pub fn new(blocking: BlockingParams) -> Self {
-        BlisGemm { blocking, threads: 1, use_arena: true, kernel: neon_intrinsics_kernel() }
+        BlisGemm { blocking, threads: 1, kernel: neon_intrinsics_kernel() }
     }
 
     /// Creates a driver around a micro-kernel, with blocking derived
@@ -271,14 +264,6 @@ impl BlisGemm {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Switches to the legacy allocate-per-block path (no arena, no
-    /// threading) — the baseline the perf benches compare against.
-    #[must_use]
-    pub fn without_arena(mut self) -> Self {
-        self.use_arena = false;
         self
     }
 
@@ -358,13 +343,8 @@ impl BlisGemm {
             scale_c(&mut c, beta);
             return Ok(stats(1));
         }
-        if self.use_arena {
-            let threads = self.gemm_arena(kernel, a, b, &mut c, alpha, beta)?;
-            Ok(stats(threads))
-        } else {
-            self.gemm_unbuffered(kernel, a, b, &mut c, alpha, beta)?;
-            Ok(stats(1))
-        }
+        let threads = self.gemm_arena(kernel, a, b, &mut c, alpha, beta)?;
+        Ok(stats(threads))
     }
 
     /// The zero-allocation hot path: packing buffers, the `C` scratch tile,
@@ -628,68 +608,6 @@ impl BlisGemm {
             }
         }
         Ok(workers.max(1))
-    }
-
-    /// The legacy path: fresh packing buffers per block and a fresh scratch
-    /// tile per micro-tile, exactly as the original driver allocated.
-    fn gemm_unbuffered(
-        &self,
-        kernel: &KernelImpl,
-        a: MatRef<'_>,
-        b: MatRef<'_>,
-        c: &mut MatMut<'_>,
-        alpha: f32,
-        beta: f32,
-    ) -> Result<(), GemmError> {
-        let (m, n, k) = (a.rows(), b.cols(), a.cols());
-        let BlockingParams { mc, kc, nc, .. } = self.blocking;
-        let (mr, nr) = (kernel.mr, kernel.nr);
-
-        let mut jc = 0;
-        while jc < n {
-            let nc_eff = nc.min(n - jc);
-            let mut pc = 0;
-            while pc < k {
-                let kc_eff = kc.min(k - pc);
-                let first_k = pc == 0;
-                let packed_b = pack_b(b, pc, jc, kc_eff, nc_eff, nr);
-                let mut ic = 0;
-                while ic < m {
-                    let mc_eff = mc.min(m - ic);
-                    let packed_a = pack_a(a, ic, pc, mc_eff, kc_eff, mr, alpha);
-                    let n_panels = nc_eff.div_ceil(nr);
-                    let m_panels = mc_eff.div_ceil(mr);
-                    for jr in 0..n_panels {
-                        for ir in 0..m_panels {
-                            let ap = a_panel(&packed_a, ir, kc_eff, mr);
-                            let bp = b_panel(&packed_b, jr, kc_eff, nr);
-                            let mut c_tile = vec![0.0f32; mr * nr];
-                            let rows = mr.min(mc_eff - ir * mr);
-                            let cols = nr.min(nc_eff - jr * nr);
-                            for j in 0..cols {
-                                for i in 0..rows {
-                                    let gi = ic + ir * mr + i;
-                                    let gj = jc + jr * nr + j;
-                                    c_tile[j * mr + i] = staged_c_value(c.get(gi, gj), beta, first_k);
-                                }
-                            }
-                            kernel.run(kc_eff, ap, bp, &mut c_tile)?;
-                            for j in 0..cols {
-                                for i in 0..rows {
-                                    let gi = ic + ir * mr + i;
-                                    let gj = jc + jr * nr + j;
-                                    c.set(gi, gj, c_tile[j * mr + i]);
-                                }
-                            }
-                        }
-                    }
-                    ic += mc_eff;
-                }
-                pc += kc_eff;
-            }
-            jc += nc_eff;
-        }
-        Ok(())
     }
 }
 
@@ -998,6 +916,19 @@ mod tests {
     use std::sync::Arc;
     use ukernel_gen::MicroKernelGenerator;
 
+    /// A runner of `driver` that has already solved a problem larger than
+    /// `m x n x k` in every dimension, so its arena and staged tile hold
+    /// unrelated values when the caller's problem arrives.
+    fn dirty_runner(driver: &BlisGemm, m: usize, n: usize, k: usize) -> GemmRunner<'_> {
+        let (m, n, k) = (m + 9, n + 13, k + 7);
+        let a = Matrix::from_fn(m, k, |i, j| ((i * 13 + j * 5) % 19) as f32 - 9.0);
+        let b = Matrix::from_fn(k, n, |i, j| ((i * 7 + j * 11) % 23) as f32 - 11.0);
+        let mut c = Matrix::from_fn(m, n, |i, j| ((i + j) % 29) as f32);
+        let mut runner = driver.runner();
+        runner.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()).alpha(3.0).beta(-2.0)).unwrap();
+        runner
+    }
+
     fn check_gemm(kernel: &KernelImpl, m: usize, n: usize, k: usize) {
         let a = Matrix::from_fn(m, k, |i, j| ((i * 7 + j * 3 + 1) % 13) as f32 * 0.25 - 1.0);
         let b = Matrix::from_fn(k, n, |i, j| ((i * 5 + j * 11 + 2) % 17) as f32 * 0.125 - 1.0);
@@ -1021,15 +952,14 @@ mod tests {
                 c_ref.data[idx]
             );
         }
-        // The legacy unbuffered path and a threaded run must agree with the
-        // arena path bit-for-bit: same packing, same op order, disjoint
-        // per-thread row blocks.
-        let mut c_legacy = c_start.clone();
-        BlisGemm::new(blocking)
-            .without_arena()
-            .gemm_with(kernel, GemmProblem::new(a.view(), b.view(), c_legacy.view_mut()))
-            .unwrap();
-        assert_eq!(c.data, c_legacy.data, "{}: arena vs legacy", kernel.name);
+        // A runner reused after a larger problem and a threaded run must
+        // agree with the fresh call bit-for-bit: same packing, same op
+        // order, disjoint per-thread row blocks.
+        let driver = BlisGemm::new(blocking).with_kernel(kernel.clone());
+        let mut runner = dirty_runner(&driver, m, n, k);
+        let mut c_reused = c_start.clone();
+        runner.gemm(GemmProblem::new(a.view(), b.view(), c_reused.view_mut())).unwrap();
+        assert_eq!(c.data, c_reused.data, "{}: fresh call vs reused dirty runner", kernel.name);
         let mut c_threaded = c_start;
         BlisGemm::new(blocking)
             .with_threads(4)
@@ -1100,13 +1030,12 @@ mod tests {
                 c_ref.data[idx]
             );
         }
-        // And the unbuffered legacy path agrees bit-for-bit with the arena.
-        let mut c_legacy = c0.clone();
-        BlisGemm::new(blocking)
-            .without_arena()
-            .gemm_with(&kernel, build(&at, &bt, c_legacy.view_mut()))
-            .unwrap();
-        assert_eq!(c_blis.data, c_legacy.data);
+        // And a runner whose arena a larger problem dirtied agrees
+        // bit-for-bit with the fresh call.
+        let driver = BlisGemm::new(blocking).with_kernel(kernel);
+        let mut c_reused = c0.clone();
+        dirty_runner(&driver, m, n, k).gemm(build(&at, &bt, c_reused.view_mut())).unwrap();
+        assert_eq!(c_blis.data, c_reused.data);
     }
 
     #[test]

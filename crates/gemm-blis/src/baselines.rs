@@ -39,17 +39,18 @@ pub enum KernelKind {
     Reference,
 }
 
-/// Which execution backend a generated kernel dispatches through.
+/// Which execution tier a generated kernel dispatches through — the one
+/// ladder every generated kernel runs on: native → simd → superword.
 ///
 /// The per-kernel setting can be overridden process-wide with the
-/// `EXO_BACKEND` environment variable (`native`, `simd`, `superword`,
-/// `tape`, or `interp`), read once at first dispatch: the override wins
-/// over the programmatic [`KernelImpl::backend`] field, so any tier is
-/// forceable for debugging — and CI forces `EXO_BACKEND=superword` to
-/// exercise the portable fallback on AVX2 hosts. Which vector ISA the
-/// `native` and `simd` tiers target is a separate, orthogonal override:
-/// `EXO_ISA` (see [`exo_codegen::active_isa`]) — every host at least gets
-/// the bit-exact scalar chain, so neither tier ever silently vanishes.
+/// `EXO_BACKEND` environment variable (`native`, `simd`, or `superword`),
+/// read once at first dispatch: the override wins over the programmatic
+/// [`KernelImpl::backend`] field, so any tier is forceable for debugging —
+/// and CI forces `EXO_BACKEND=superword` to exercise the portable tier on
+/// AVX2 hosts. Which vector ISA the `native` and `simd` tiers target is a
+/// separate, orthogonal override: `EXO_ISA` (see
+/// [`exo_codegen::active_isa`]) — every host at least gets the bit-exact
+/// scalar chain, so neither tier ever silently vanishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
     /// Ahead-of-time compiled native code: the superword tape lowered to
@@ -57,28 +58,23 @@ pub enum ExecBackend {
     /// override) and called through a raw function pointer — the fastest
     /// tier and the default. Guarded by the same affine-interval proofs
     /// as the simd tier and bit-identical to it on the matching ISA, so
-    /// the silent fallback (no toolchain, emission decline, build
-    /// failure, unproven bounds) changes speed, never results.
+    /// the silent fallback onto the simd chain (no toolchain, emission
+    /// decline, build failure, a build still in flight, unproven bounds)
+    /// changes speed, never results.
     #[default]
     Native,
-    /// Native vector closure chain over the widest available ISA
+    /// The in-process vector closure chain over the widest available ISA
     /// (AVX2/FMA on x86_64, NEON on aarch64, bit-exact scalar everywhere;
-    /// pin one with `EXO_ISA`), falling back to superword, then the scalar
-    /// tape, then the interpreter — the fast in-process default. Results
-    /// of the native ISAs are within the documented FMA-contraction ULP
-    /// bound of the portable tiers (FMA contracts the multiply-add into
-    /// one rounding); the scalar chain is bit-identical to them.
+    /// pin one with `EXO_ISA`) — the fast path on hosts without a C
+    /// toolchain. The native ISAs are within the documented
+    /// FMA-contraction ULP bound of the superword tier (FMA contracts the
+    /// multiply-add into one rounding); the scalar chain is bit-identical
+    /// to it.
     Simd,
-    /// Superword whole-vector execution when available, falling back to the
-    /// scalar tape and then the interpreter — the fastest *portable* tier,
-    /// bit-for-bit identical to tape and interpreter.
+    /// Superword whole-vector execution — the portable tier at the bottom
+    /// of the ladder, bit-for-bit identical to [`reference_kernel`] and to
+    /// the interpreter oracle (`exo_codegen::CompiledKernel::run`).
     Superword,
-    /// Force the scalar tape (interpreter when no tape compiled) — the
-    /// intermediate tier, kept as a perf baseline and differential anchor.
-    Tape,
-    /// Force the tree-walking interpreter (differential tests, perf
-    /// baselines).
-    Interp,
 }
 
 impl ExecBackend {
@@ -92,11 +88,7 @@ impl ExecBackend {
             "native" => Ok(ExecBackend::Native),
             "simd" => Ok(ExecBackend::Simd),
             "superword" => Ok(ExecBackend::Superword),
-            "tape" => Ok(ExecBackend::Tape),
-            "interp" => Ok(ExecBackend::Interp),
-            other => Err(format!(
-                "unknown backend `{other}` (expected one of: native, simd, superword, tape, interp)"
-            )),
+            other => Err(format!("unknown backend `{other}` (expected one of: native, simd, superword)")),
         }
     }
 
@@ -107,23 +99,20 @@ impl ExecBackend {
         env_backend_override().unwrap_or(self)
     }
 
-    /// The next execution tier down the degradation ladder
-    /// (native → simd → superword → tape → interp), or `None` at the
-    /// bottom.
+    /// The next execution tier down the ladder (native → simd →
+    /// superword), or `None` at the bottom.
     ///
     /// This is the retry ladder of the fault-tolerant serving path: when a
     /// tier fails or panics on an entry, the entry is re-attempted once on
-    /// the tier below, trading speed for the portable tiers' simpler
-    /// dispatch. Note that when `EXO_BACKEND` is set, the override still
-    /// wins at dispatch time, so a "degraded" retry re-runs the forced
-    /// tier — the retry is then a plain re-execution.
+    /// the tier below the kernel's *configured* backend. When
+    /// `EXO_BACKEND` is set, the override still wins at dispatch time, so
+    /// a "degraded" retry re-runs the forced tier — the retry is then a
+    /// plain re-execution.
     pub fn degraded(self) -> Option<ExecBackend> {
         match self {
             ExecBackend::Native => Some(ExecBackend::Simd),
             ExecBackend::Simd => Some(ExecBackend::Superword),
-            ExecBackend::Superword => Some(ExecBackend::Tape),
-            ExecBackend::Tape => Some(ExecBackend::Interp),
-            ExecBackend::Interp => None,
+            ExecBackend::Superword => None,
         }
     }
 }
@@ -188,110 +177,87 @@ impl KernelImpl {
         self
     }
 
-    /// Runs the kernel functionally: `c[nr][mr] += a[kc][mr] * b[kc][nr]`,
-    /// honoring the effective backend (`EXO_BACKEND` override, then
-    /// [`Self::backend`]).
+    /// Runs the kernel functionally: `c[nr][mr] += a[kc][mr] * b[kc][nr]`.
+    /// A generated kernel runs through a one-shot [`Self::dispatcher`], so
+    /// it takes exactly the tier a GEMM would.
     ///
     /// # Errors
     ///
-    /// Returns [`GemmError`] if the buffer sizes do not match the shape.
+    /// Returns [`GemmError`] if the buffer sizes do not match the shape,
+    /// and propagates kernel failures.
     pub fn run(&self, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) -> Result<(), GemmError> {
+        if let KernelKind::Exo(_) = self.kind {
+            return self.dispatcher().run(kc, a, b, c);
+        }
         self.check_packed_shape(kc, a, b, c)?;
-        match &self.kind {
-            KernelKind::Exo(kernel) => {
-                let result = match self.backend.effective() {
-                    ExecBackend::Native => kernel.run_packed_native(kc, a, b, c),
-                    ExecBackend::Simd => kernel.run_packed(kc, a, b, c),
-                    ExecBackend::Superword => kernel.run_packed_superword(kc, a, b, c),
-                    ExecBackend::Tape => kernel.run_packed_tape(kc, a, b, c),
-                    ExecBackend::Interp => kernel.run_packed_interp(kc, a, b, c),
-                };
-                result.map_err(|e| GemmError::Kernel { kernel: self.name.clone(), message: e.to_string() })
-            }
-            _ => {
-                // The hand-written kernels compute the same update; the
-                // functional path models their arithmetic, the trace models
-                // their schedule.
-                for k in 0..kc {
-                    for j in 0..self.nr {
-                        let bkj = b[k * self.nr + j];
-                        for i in 0..self.mr {
-                            c[j * self.mr + i] += a[k * self.mr + i] * bkj;
-                        }
-                    }
+        // The hand-written kernels compute the same update; the functional
+        // path models their arithmetic, the trace models their schedule.
+        for k in 0..kc {
+            for j in 0..self.nr {
+                let bkj = b[k * self.nr + j];
+                for i in 0..self.mr {
+                    c[j * self.mr + i] += a[k * self.mr + i] * bkj;
                 }
-                Ok(())
             }
         }
+        Ok(())
     }
 
     /// A per-GEMM dispatch handle for this kernel (see [`KernelDispatch`]).
     ///
-    /// The five-loop driver creates one per worker per GEMM, so SIMD and
-    /// superword kernels prove their affine-interval obligations and
-    /// allocate their register file **once** per distinct `(KC, buffer
-    /// lengths)` input instead of on every micro-tile — the fringe tiles
-    /// of a blocked problem no longer re-prove and re-allocate thousands
-    /// of times. The effective backend (`EXO_BACKEND` override, then
-    /// [`Self::backend`]) selects the tier the handle carries.
+    /// The five-loop driver creates one per worker per GEMM, so the tiers
+    /// prove their affine-interval obligations and allocate their register
+    /// file **once** per distinct `(KC, buffer lengths)` input instead of
+    /// on every micro-tile. The effective backend (`EXO_BACKEND` override,
+    /// then [`Self::backend`]) selects the tier the handle carries; the
+    /// native tier is taken only once its artifact has promoted.
     pub fn dispatcher(&self) -> KernelDispatch {
-        let effective = self.backend.effective();
-        let (native, simd, superword) = match &self.kind {
-            KernelKind::Exo(kernel) => {
-                // Each tier handle is built only when the effective tier
-                // (or its silent-fallback ladder) can actually reach it.
-                let native = match (effective, &kernel.simd) {
-                    // The native dispatch pairs the loaded artifact with
-                    // the kernel's own simd dispatcher: the proofs are
-                    // shared and unproven calls take the simd ladder.
-                    // `native()` is a non-blocking poll — early GEMMs get
-                    // `None` here and serve on the simd handle while the
-                    // background build runs; once the verified artifact
-                    // promotes, later dispatchers carry it. The tiers are
-                    // bit-identical on a matching ISA, so the switch is
-                    // invisible except for speed.
-                    (ExecBackend::Native, Some(chain)) => {
-                        kernel.native().map(|n| exo_aot::NativeDispatch::new(n, chain.dispatcher()))
+        let tier = match &self.kind {
+            KernelKind::Exo(kernel) => Some(match self.backend.effective() {
+                // `native()` is a non-blocking poll — early GEMMs get `None`
+                // and serve on the simd chain while the background build
+                // runs; once the verified artifact promotes, later
+                // dispatchers carry it. The native dispatch shares the
+                // chain's proofs, and unproven calls take the chain. The
+                // tiers are bit-identical on a matching ISA, so the switch
+                // is invisible except for speed.
+                ExecBackend::Native => match kernel.native() {
+                    Some(native) => {
+                        Tier::Native(exo_aot::NativeDispatch::new(native, kernel.simd.dispatcher()))
                     }
-                    _ => None,
-                };
-                let want_simd =
-                    native.is_none() && matches!(effective, ExecBackend::Native | ExecBackend::Simd);
-                let simd =
-                    if want_simd { kernel.simd.as_ref().map(|chain| chain.dispatcher()) } else { None };
-                // The scalar ISA floor makes a missing chain possible only
-                // when the superword lowering itself declined; the portable
-                // superword tier is the documented fallback either way.
-                let want_superword = native.is_none()
-                    && simd.is_none()
-                    && matches!(effective, ExecBackend::Native | ExecBackend::Simd | ExecBackend::Superword);
-                let superword =
-                    if want_superword { kernel.superword.as_ref().map(|sw| sw.dispatcher()) } else { None };
-                (native, simd, superword)
-            }
-            _ => (None, None, None),
+                    None => Tier::Simd(kernel.simd.dispatcher()),
+                },
+                ExecBackend::Simd => Tier::Simd(kernel.simd.dispatcher()),
+                ExecBackend::Superword => Tier::Superword(kernel.simd.source().dispatcher()),
+            }),
+            _ => None,
         };
-        KernelDispatch { imp: self.clone(), native, simd, superword }
+        KernelDispatch { imp: self.clone(), tier }
     }
+}
+
+/// The prove-once handle of the tier a generated kernel dispatches to.
+#[derive(Debug, Clone)]
+enum Tier {
+    Native(exo_aot::NativeDispatch),
+    Simd(exo_codegen::SimdDispatch),
+    Superword(exo_codegen::SuperwordDispatch),
 }
 
 /// A reusable per-GEMM (per-worker) micro-kernel handle.
 ///
 /// For generated kernels this wraps a prove-once dispatch of the selected
 /// tier — [`exo_aot::NativeDispatch`] for the ahead-of-time compiled
-/// artifact (the default), [`exo_codegen::SimdDispatch`] for the native
-/// vector chain of the active ISA, [`exo_codegen::SuperwordDispatch`] for
-/// the portable tier: the run-time bounds proof is memoised per distinct
+/// artifact (the default), [`exo_codegen::SimdDispatch`] for the vector
+/// chain of the active ISA, [`exo_codegen::SuperwordDispatch`] for the
+/// portable tier: the run-time bounds proof is memoised per distinct
 /// `(KC, buffer lengths)` tuple and the register file is reused, so the
-/// steady-state micro-tile dispatch allocates nothing. Every other kernel
-/// family falls through to [`KernelImpl::run`]. Results are bit-for-bit
-/// identical to calling `run` directly with the same effective backend.
+/// steady-state micro-tile dispatch allocates nothing. The hand-written
+/// families run their plain loops ([`KernelImpl::run`]).
 #[derive(Debug, Clone)]
 pub struct KernelDispatch {
     imp: KernelImpl,
-    native: Option<exo_aot::NativeDispatch>,
-    simd: Option<exo_codegen::SimdDispatch>,
-    superword: Option<exo_codegen::SuperwordDispatch>,
+    tier: Option<Tier>,
 }
 
 impl KernelDispatch {
@@ -301,32 +267,23 @@ impl KernelDispatch {
     }
 
     /// Runs the kernel: `c[nr][mr] += a[kc][mr] * b[kc][nr]`, through the
-    /// prove-once SIMD or superword path when the kernel carries one.
+    /// prove-once tier handle when the kernel is a generated one.
     ///
     /// # Errors
     ///
     /// Returns [`GemmError`] if the buffer sizes do not match the shape, and
     /// propagates kernel failures.
     pub fn run(&mut self, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) -> Result<(), GemmError> {
-        let kernel_err = |name: &str, e: exo_codegen::CodegenError| GemmError::Kernel {
-            kernel: name.to_string(),
-            message: e.to_string(),
+        let Some(tier) = &mut self.tier else {
+            return self.imp.run(kc, a, b, c);
         };
-        if let Some(native) = &mut self.native {
-            self.imp.check_packed_shape(kc, a, b, c)?;
-            return native.run_packed(kc, a, b, c).map_err(|e| kernel_err(&self.imp.name, e));
-        }
-        if let Some(simd) = &mut self.simd {
-            self.imp.check_packed_shape(kc, a, b, c)?;
-            return simd.run_packed(kc, a, b, c).map_err(|e| kernel_err(&self.imp.name, e));
-        }
-        match &mut self.superword {
-            Some(sw) => {
-                self.imp.check_packed_shape(kc, a, b, c)?;
-                sw.run_packed(kc, a, b, c).map_err(|e| kernel_err(&self.imp.name, e))
-            }
-            None => self.imp.run(kc, a, b, c),
-        }
+        self.imp.check_packed_shape(kc, a, b, c)?;
+        let result = match tier {
+            Tier::Native(native) => native.run_packed(kc, a, b, c),
+            Tier::Simd(simd) => simd.run_packed(kc, a, b, c),
+            Tier::Superword(sw) => sw.run_packed(kc, a, b, c),
+        };
+        result.map_err(|e| GemmError::Kernel { kernel: self.imp.name.clone(), message: e.to_string() })
     }
 }
 
@@ -413,8 +370,7 @@ pub fn blis_assembly_kernel(prefetch: bool) -> KernelImpl {
 /// through the ahead-of-time compiled native artifact when the host has a
 /// C toolchain (the fastest tier), silently and bit-faithfully falling
 /// back to the in-process SIMD chain of the active vector ISA (AVX2/FMA,
-/// NEON, or the bit-exact scalar reference) when it does not, and to the
-/// portable superword backend when no chain compiled.
+/// NEON, or the bit-exact scalar reference) when it does not.
 pub fn exo_kernel(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
         name: format!("EXO {}x{}", kernel.mr, kernel.nr),
@@ -441,36 +397,14 @@ pub fn exo_kernel_simd(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     }
 }
 
-/// Like [`exo_kernel`] but pinned to the superword tier — the fastest
-/// *portable* backend (bit-for-bit identical to tape and interpreter),
-/// kept callable so the `gemm_throughput` bench and differential tests can
-/// compare the native chain against its own fallback.
+/// Like [`exo_kernel`] but pinned to the superword tier — the portable
+/// bottom of the ladder, bit-for-bit identical to [`reference_kernel`]
+/// through the same driver, kept callable so the `gemm_throughput` bench
+/// and differential tests can compare the vector tiers against it.
 pub fn exo_kernel_superword(kernel: Arc<GeneratedKernel>) -> KernelImpl {
     KernelImpl {
         name: format!("EXO {}x{} (superword)", kernel.mr, kernel.nr),
         backend: ExecBackend::Superword,
-        ..exo_kernel(kernel)
-    }
-}
-
-/// Like [`exo_kernel`] but pinned to the scalar tape — the intermediate
-/// tier, used as a perf baseline by the `gemm_throughput` bench and as a
-/// differential anchor between superword and interpreter.
-pub fn exo_kernel_tape(kernel: Arc<GeneratedKernel>) -> KernelImpl {
-    KernelImpl {
-        name: format!("EXO {}x{} (tape)", kernel.mr, kernel.nr),
-        backend: ExecBackend::Tape,
-        ..exo_kernel(kernel)
-    }
-}
-
-/// Like [`exo_kernel`] but pinned to the tree-walking interpreter — the
-/// slow reference backend, used by differential tests and as the baseline
-/// series of the `gemm_throughput` bench.
-pub fn exo_kernel_interp(kernel: Arc<GeneratedKernel>) -> KernelImpl {
-    KernelImpl {
-        name: format!("EXO {}x{} (interp)", kernel.mr, kernel.nr),
-        backend: ExecBackend::Interp,
         ..exo_kernel(kernel)
     }
 }
@@ -568,22 +502,30 @@ mod tests {
         assert_eq!(ExecBackend::parse("native"), Ok(ExecBackend::Native));
         assert_eq!(ExecBackend::parse("simd"), Ok(ExecBackend::Simd));
         assert_eq!(ExecBackend::parse("SUPERWORD"), Ok(ExecBackend::Superword));
-        assert_eq!(ExecBackend::parse("tape"), Ok(ExecBackend::Tape));
-        assert_eq!(ExecBackend::parse("interp"), Ok(ExecBackend::Interp));
         assert_eq!(ExecBackend::default(), ExecBackend::Native);
         assert_eq!(ExecBackend::Native.degraded(), Some(ExecBackend::Simd));
+        assert_eq!(ExecBackend::Simd.degraded(), Some(ExecBackend::Superword));
+        assert_eq!(ExecBackend::Superword.degraded(), None, "superword is the bottom of the ladder");
         let err = ExecBackend::parse("simd2").unwrap_err();
         assert!(err.contains("simd2") && err.contains("native") && err.contains("superword"), "{err}");
+        // The retired tiers are typos now, and the message lists exactly
+        // the three remaining names.
+        for retired in ["tape", "interp"] {
+            let err = ExecBackend::parse(retired).unwrap_err();
+            assert!(err.contains(retired), "{err}");
+            assert!(err.ends_with("(expected one of: native, simd, superword)"), "{err}");
+        }
     }
 
     #[test]
     fn pinned_backends_agree_within_the_fma_bound_and_portable_tiers_bitwise() {
-        // The portable tiers are bit-identical; the native default is
-        // bit-faithful to the simd pin (same artifact or silent fallback
-        // to the same chain), and both stay within the FMA-contraction
-        // bound of the portable tiers. (Under a forced EXO_BACKEND
-        // override all five pins run the same tier and the asserts hold
-        // trivially — which is exactly what the fallback CI leg checks.)
+        // The superword tier is bit-identical to the scalar reference
+        // kernel; the native default is bit-faithful to the simd pin (same
+        // artifact or silent fallback to the same chain), and both stay
+        // within the FMA-contraction bound of the superword tier. (Under a
+        // forced EXO_BACKEND override the three pins run the same tier and
+        // the asserts hold trivially — which is exactly what the fallback
+        // CI leg checks.)
         let generator = MicroKernelGenerator::new(neon_f32());
         let kernel = Arc::new(generator.generate(8, 12).unwrap());
         let kc = 37usize;
@@ -598,26 +540,27 @@ mod tests {
         let c_native = run(&exo_kernel(Arc::clone(&kernel)));
         let c_simd = run(&exo_kernel_simd(Arc::clone(&kernel)));
         let c_sw = run(&exo_kernel_superword(Arc::clone(&kernel)));
-        let c_tape = run(&exo_kernel_tape(Arc::clone(&kernel)));
-        let c_interp = run(&exo_kernel_interp(Arc::clone(&kernel)));
+        let c_ref = run(&reference_kernel(8, 12));
         assert_eq!(c_native, c_simd, "the native tier is bit-faithful to the simd chain");
-        assert_eq!(c_sw, c_tape, "superword and tape are bit-identical");
-        assert_eq!(c_tape, c_interp, "tape and interpreter are bit-identical");
+        assert_eq!(c_sw, c_ref, "superword and the reference kernel are bit-identical");
         let tol = exo_codegen::fma_contraction_tol(kc);
         for (i, (x, y)) in c_simd.iter().zip(&c_sw).enumerate() {
             let scale = x.abs().max(y.abs()).max(1.0);
             assert!((x - y).abs() <= tol * scale, "simd vs superword at {i}: {x} vs {y}");
         }
-        // The dispatch handle of each pin matches its one-shot run
+        // A reused dispatch handle of each pin matches its one-shot run
         // bit-for-bit (same tier, same op order).
         for imp in [
             exo_kernel(Arc::clone(&kernel)),
             exo_kernel_simd(Arc::clone(&kernel)),
             exo_kernel_superword(Arc::clone(&kernel)),
         ] {
-            let mut c = c0.clone();
-            imp.dispatcher().run(kc, &a, &b, &mut c).unwrap();
-            assert_eq!(c, run(&imp), "{}: dispatch handle vs one-shot", imp.name);
+            let mut dispatch = imp.dispatcher();
+            for _ in 0..2 {
+                let mut c = c0.clone();
+                dispatch.run(kc, &a, &b, &mut c).unwrap();
+                assert_eq!(c, run(&imp), "{}: dispatch handle vs one-shot", imp.name);
+            }
         }
     }
 

@@ -20,9 +20,10 @@
 //!   dense `A` hot path, and the dense-`B`-transposed path);
 //! * anything else → a scalar stride walk.
 //!
-//! Two layers are provided, as before: [`pack_a`]/[`pack_b`] allocate per
-//! call (legacy driver, tests); [`pack_a_into`]/[`pack_b_into`] +
-//! [`PackArena`] write into caller-owned buffers sized once per GEMM.
+//! Two layers are provided: [`pack_a`]/[`pack_b`] allocate per call (for
+//! one-off callers and tests); [`pack_a_into`]/[`pack_b_into`] +
+//! [`PackArena`] write into caller-owned buffers sized once per GEMM, and
+//! are what the driver uses.
 
 use crate::blocking::BlockingParams;
 use crate::views::MatRef;

@@ -16,7 +16,8 @@ pub enum GenError {
     Codegen(exo_codegen::CodegenError),
     /// The requested kernel shape cannot be generated with the requested
     /// strategy (e.g. a lane-indexed kernel on an ISA without a lane-indexed
-    /// FMA).
+    /// FMA), or its scheduled form cannot be lowered to an executable tier
+    /// (the tape declines register tiles past its size caps).
     UnsupportedShape {
         /// Requested register rows.
         mr: usize,

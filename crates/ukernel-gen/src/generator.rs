@@ -5,8 +5,8 @@
 use std::sync::{Arc, OnceLock};
 
 use exo_codegen::{
-    compile, emit_asm, emit_c, extract_trace, CompiledKernel, KernelTrace, RunArg, SimdKernel,
-    SuperwordKernel, TapeKernel,
+    compile, emit_asm, emit_c, extract_trace, CompiledKernel, KernelTrace, SimdKernel, SuperwordKernel,
+    TapeKernel,
 };
 use exo_ir::{Proc, ScalarType};
 use exo_isa::VectorIsa;
@@ -91,26 +91,29 @@ pub struct GeneratedKernel {
     pub asm: String,
     /// Machine-operation trace for the performance model.
     pub trace: KernelTrace,
-    /// Executable lowering for functional runs.
+    /// Executable lowering: the tree-walking [`CompiledKernel::run`] is the
+    /// bitwise oracle of the differential tests, never a dispatch tier.
     pub compiled: CompiledKernel,
-    /// Tape-compiled form of [`Self::compiled`]: the scalar bytecode
-    /// backend. `None` when the scheduled form contains constructs the tape
-    /// cannot register-allocate, in which case runs fall back to the
-    /// interpreter.
-    pub tape: Option<Arc<TapeKernel>>,
+    /// Tape-compiled form of [`Self::compiled`]: the register-allocated IR
+    /// every execution tier is lowered from (it has no executor of its
+    /// own). A shape whose scheduled form the tape declines does not
+    /// generate at all.
+    pub tape: Arc<TapeKernel>,
     /// Superword lowering of [`Self::tape`]: whole-vector ops, one vector
-    /// register per dispatch — the fastest *portable* backend and every
-    /// other tier's fallback. `None` exactly when `tape` is `None`.
+    /// register per dispatch — the portable tier at the bottom of the
+    /// native → simd → superword ladder, and the source the simd chain
+    /// and the native C are compiled from. Always `Some`: generation
+    /// fails when the lowering does. The `Option` is kept so callers that
+    /// `filter_map` over kernels need not change.
     pub superword: Option<Arc<SuperwordKernel>>,
-    /// Native closure chain compiled from [`Self::superword`] for the
-    /// active vector ISA (`exo_codegen::active_isa()`: AVX2/FMA, NEON, or
-    /// the scalar reference — pin one with `EXO_ISA`) — the fastest
-    /// backend and the default for [`Self::run_packed`]. `None` exactly
-    /// when `superword` is `None`: the scalar ISA floor compiles
-    /// everywhere. Results of the native ISAs are within the documented
-    /// FMA-contraction ULP bound of the other tiers; the scalar chain is
-    /// bit-identical to them.
-    pub simd: Option<Arc<SimdKernel>>,
+    /// Closure chain compiled from [`Self::superword`] for the active
+    /// vector ISA (`exo_codegen::active_isa()`: AVX2/FMA, NEON, or the
+    /// scalar reference — pin one with `EXO_ISA`) — the fast path on hosts
+    /// without a C toolchain, and what [`Self::run_packed`] runs. Results
+    /// of the native ISAs are within the documented FMA-contraction ULP
+    /// bound of the superword tier; the scalar chain is bit-identical to
+    /// it.
+    pub simd: Arc<SimdKernel>,
     /// The prepared ahead-of-time request ([`Self::superword`] lowered to
     /// C, toolchain probed, cache key computed), built lazily on the
     /// first [`Self::native`] poll and reused by every later one. `None`
@@ -127,26 +130,29 @@ pub struct GeneratedKernel {
 }
 
 impl GeneratedKernel {
-    /// Runs the kernel on packed operands: `c[nr][mr] += ac[kc][mr] *
-    /// bc[kc][nr]` (row-major, exactly the layouts of the paper's Fig. 5).
-    ///
-    /// Dispatches through the native SIMD chain when one compiled (the
-    /// active vector ISA's intrinsics; native ISAs land within the
-    /// FMA-contraction ULP bound of the other tiers, the scalar ISA is
-    /// bit-exact), then the superword backend, then the scalar tape, then
-    /// the interpreter — the last three compute bit-for-bit identical
-    /// results.
+    /// Runs the kernel on packed operands through its simd chain:
+    /// `c[nr][mr] += ac[kc][mr] * bc[kc][nr]` (row-major, exactly the
+    /// layouts of the paper's Fig. 5). The GEMM driver picks a tier
+    /// through `gemm_blis::KernelImpl::dispatcher` instead.
     ///
     /// # Errors
     ///
     /// Returns [`GenError::Codegen`] if the buffers do not match the kernel's
     /// shape.
     pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.check_packed_shape(kc, ac, bc, c)?;
-        match &self.simd {
-            Some(simd) => simd.run_packed(kc, ac, bc, c).map_err(GenError::Codegen),
-            None => self.run_packed_superword_unchecked(kc, ac, bc, c),
+        if ac.len() != kc * self.mr || bc.len() != kc * self.nr || c.len() != self.mr * self.nr {
+            return Err(GenError::Codegen(exo_codegen::CodegenError::BadArguments {
+                reason: format!(
+                    "expected Ac[{}], Bc[{}], C[{}] for a {}x{} kernel with KC={kc}",
+                    kc * self.mr,
+                    kc * self.nr,
+                    self.mr * self.nr,
+                    self.mr,
+                    self.nr
+                ),
+            }));
         }
+        self.simd.run_packed(kc, ac, bc, c).map_err(GenError::Codegen)
     }
 
     /// The prepared ahead-of-time request, emitting the C and probing the
@@ -189,110 +195,6 @@ impl GeneratedKernel {
         }
         let promoted = exo_aot::engine().wait(self.aot_request()?).ok()?;
         Some(Arc::clone(self.native.get_or_init(|| promoted)))
-    }
-
-    /// Runs the kernel through the ahead-of-time compiled native tier
-    /// when it has promoted (the first call kicks the background build),
-    /// and through [`Self::run_packed`]'s simd-first ladder otherwise —
-    /// the `ExecBackend::Native` entry point. On a matching ISA the
-    /// native tier is bit-identical to the simd chain, so serving on
-    /// simd while the build is in flight — and the moment of promotion —
-    /// is invisible except for speed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError::Codegen`] if the buffers do not match the
-    /// kernel's shape.
-    pub fn run_packed_native(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.check_packed_shape(kc, ac, bc, c)?;
-        match self.native() {
-            Some(native) => native.run_packed(kc, ac, bc, c).map_err(GenError::Codegen),
-            None => match &self.simd {
-                Some(simd) => simd.run_packed(kc, ac, bc, c).map_err(GenError::Codegen),
-                None => self.run_packed_superword_unchecked(kc, ac, bc, c),
-            },
-        }
-    }
-
-    /// Runs the kernel through the superword backend regardless of whether
-    /// a SIMD chain exists — the portable tier, bit-for-bit identical to
-    /// the scalar tape and the interpreter, kept callable so differential
-    /// tests, the forced `EXO_BACKEND=superword` fallback, and the
-    /// `gemm_throughput` bench can compare tiers. Falls back to the scalar
-    /// tape, then the interpreter.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError::Codegen`] if the buffers do not match the kernel's
-    /// shape.
-    pub fn run_packed_superword(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.check_packed_shape(kc, ac, bc, c)?;
-        self.run_packed_superword_unchecked(kc, ac, bc, c)
-    }
-
-    fn run_packed_superword_unchecked(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        match (&self.superword, &self.tape) {
-            (Some(sw), _) => sw.run_packed(kc, ac, bc, c).map_err(GenError::Codegen),
-            (None, Some(tape)) => tape.run_packed(kc, ac, bc, c).map_err(GenError::Codegen),
-            (None, None) => self.run_packed_interp_unchecked(kc, ac, bc, c),
-        }
-    }
-
-    /// Runs the kernel through the scalar tape regardless of whether a
-    /// superword lowering exists — the intermediate backend, kept callable
-    /// so differential tests and the `gemm_throughput` bench can compare
-    /// tiers. Falls back to the interpreter when no tape compiled.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError::Codegen`] if the buffers do not match the kernel's
-    /// shape.
-    pub fn run_packed_tape(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.check_packed_shape(kc, ac, bc, c)?;
-        match &self.tape {
-            Some(tape) => tape.run_packed(kc, ac, bc, c).map_err(GenError::Codegen),
-            None => self.run_packed_interp_unchecked(kc, ac, bc, c),
-        }
-    }
-
-    /// Runs the kernel through the tree-walking interpreter regardless of
-    /// which compiled backends exist — the slow reference backend, kept
-    /// callable so differential tests and benches can compare the tiers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenError::Codegen`] if the buffers do not match the kernel's
-    /// shape.
-    pub fn run_packed_interp(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.check_packed_shape(kc, ac, bc, c)?;
-        self.run_packed_interp_unchecked(kc, ac, bc, c)
-    }
-
-    fn check_packed_shape(&self, kc: usize, ac: &[f32], bc: &[f32], c: &[f32]) -> Result<()> {
-        if ac.len() != kc * self.mr || bc.len() != kc * self.nr || c.len() != self.mr * self.nr {
-            return Err(GenError::Codegen(exo_codegen::CodegenError::BadArguments {
-                reason: format!(
-                    "expected Ac[{}], Bc[{}], C[{}] for a {}x{} kernel with KC={kc}",
-                    kc * self.mr,
-                    kc * self.nr,
-                    self.mr * self.nr,
-                    self.mr,
-                    self.nr
-                ),
-            }));
-        }
-        Ok(())
-    }
-
-    fn run_packed_interp_unchecked(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        // The RunArg interface takes every tensor mutably, so the read-only
-        // operands must be copied; this is part of why the interpreter path
-        // is slow, and why the tape gets a zero-copy entry point.
-        let mut a = ac.to_vec();
-        let mut b = bc.to_vec();
-        let mut args =
-            vec![RunArg::Size(kc as i64), RunArg::Tensor(&mut a), RunArg::Tensor(&mut b), RunArg::Tensor(c)];
-        self.compiled.run(&mut args).map_err(GenError::Codegen)
     }
 
     /// Floating-point operations the kernel performs for a given `KC`.
@@ -385,15 +287,16 @@ impl MicroKernelGenerator {
         let trace = extract_trace(&proc, "KC")?;
         let asm = emit_asm(&trace);
         let compiled = compile(&proc)?;
-        // Tape compilation can legitimately decline (e.g. a shape the
-        // scheduler left with data-dependent structure); the interpreter
-        // remains the fallback, so a missing tape is not an error. The
-        // superword lowering always succeeds on a valid tape, and the SIMD
-        // chain compiles from it for the active vector ISA (at worst the
-        // scalar reference, so every host gets a chain).
-        let tape = compiled.to_tape().ok().map(Arc::new);
-        let superword = tape.as_ref().and_then(|t| t.to_superword().ok()).map(Arc::new);
-        let simd = superword.as_ref().and_then(|sw| SimdKernel::compile(Arc::clone(sw))).map(Arc::new);
+        // Every tier is lowered from the tape, so a shape the tape cannot
+        // register-allocate (a register tile past its size caps) does not
+        // generate. The superword lowering always succeeds on a valid
+        // tape, and the simd chain compiles from it for the active vector
+        // ISA (at worst the scalar reference, so every host gets a chain).
+        let unsupported = |reason: String| GenError::UnsupportedShape { mr: opts.mr, nr: opts.nr, reason };
+        let tape = Arc::new(compiled.to_tape().map_err(|e| unsupported(e.to_string()))?);
+        let superword = Arc::new(tape.to_superword()?);
+        let simd = SimdKernel::compile(Arc::clone(&superword))
+            .ok_or_else(|| unsupported("the simd chain compiler declined the superword tape".into()))?;
         Ok(GeneratedKernel {
             mr: opts.mr,
             nr: opts.nr,
@@ -408,8 +311,8 @@ impl MicroKernelGenerator {
             trace,
             compiled,
             tape,
-            superword,
-            simd,
+            superword: Some(superword),
+            simd: Arc::new(simd),
             aot: OnceLock::new(),
             native: OnceLock::new(),
         })
@@ -488,6 +391,7 @@ impl KernelSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exo_codegen::RunArg;
     use exo_isa::{avx512_f32, neon_f16, neon_f32};
 
     fn naive(mr: usize, nr: usize, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
@@ -533,27 +437,36 @@ mod tests {
         let generator = MicroKernelGenerator::new(neon_f32());
         for (mr, nr) in KernelSet::paper_shapes() {
             let kernel = generator.generate(mr, nr).unwrap();
-            let tape = kernel.tape.as_ref().unwrap_or_else(|| panic!("{mr}x{nr} must tape-compile"));
             // Scheduled kernels stage the C tile (and vector operands) in
             // locals, which the tape register-allocates.
-            assert!(tape.register_count() >= mr * nr, "{mr}x{nr} C tile must live in registers");
-            {
-                let simd = kernel.simd.as_ref().expect("the scalar ISA floor compiles everywhere");
-                assert_eq!(simd.isa(), exo_codegen::active_isa(), "{mr}x{nr}: chain targets the active ISA");
-            }
+            assert!(kernel.tape.register_count() >= mr * nr, "{mr}x{nr} C tile must live in registers");
+            assert_eq!(
+                kernel.simd.isa(),
+                exo_codegen::active_isa(),
+                "{mr}x{nr}: chain targets the active ISA"
+            );
             let kc = 23;
             let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 13 + 5) % 17) as f32 * 0.25 - 2.0).collect();
             let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 7 + 11) % 19) as f32 * 0.125 - 1.0).collect();
             let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 7) as f32 * 0.5).collect();
-            // The portable tiers are bit-identical.
+            // The superword tier (the tape's executor) is bit-identical to
+            // the interpreter oracle.
             let mut c_sw = c0.clone();
-            kernel.run_packed_superword(kc, &a, &b, &mut c_sw).unwrap();
-            let mut c_interp = c0.clone();
-            kernel.run_packed_interp(kc, &a, &b, &mut c_interp).unwrap();
+            kernel.superword.as_ref().unwrap().run_packed(kc, &a, &b, &mut c_sw).unwrap();
+            let (mut a_buf, mut b_buf, mut c_interp) = (a.clone(), b.clone(), c0.clone());
+            kernel
+                .compiled
+                .run(&mut [
+                    RunArg::Size(kc as i64),
+                    RunArg::Tensor(&mut a_buf),
+                    RunArg::Tensor(&mut b_buf),
+                    RunArg::Tensor(&mut c_interp),
+                ])
+                .unwrap();
             assert_eq!(c_sw, c_interp, "{mr}x{nr} superword diverges from the interpreter");
             // The SIMD default stays within the FMA-contraction bound of
-            // the portable tiers (and is bit-identical to them when no
-            // chain compiled).
+            // the superword tier (and is bit-identical to it on the scalar
+            // ISA).
             let mut c_simd = c0.clone();
             kernel.run_packed(kc, &a, &b, &mut c_simd).unwrap();
             let tol = exo_codegen::fma_contraction_tol(kc);
@@ -625,6 +538,20 @@ mod tests {
     fn generation_rejects_degenerate_shapes() {
         let generator = MicroKernelGenerator::new(neon_f32());
         assert!(generator.generate(0, 4).is_err());
+    }
+
+    #[test]
+    fn shapes_the_tape_declines_do_not_generate() {
+        // A 300x300 register tile is past the tape's local-buffer cap:
+        // with no interpreter tier to fall back to, generation reports
+        // the tape's reason instead of returning a kernel.
+        let generator = MicroKernelGenerator::new(neon_f32());
+        match generator.generate(300, 300) {
+            Err(GenError::UnsupportedShape { mr: 300, nr: 300, reason }) => {
+                assert!(reason.contains("tape backend"), "{reason}");
+            }
+            other => panic!("expected UnsupportedShape, got {other:?}"),
+        }
     }
 
     #[test]

@@ -21,6 +21,11 @@ use crate::generator::{GeneratedKernel, MicroKernelGenerator};
 pub type KernelKey = (String, usize, usize);
 
 /// A thread-safe cache of generated kernels keyed by `(isa, mr, nr)`.
+///
+/// Every execution tier of a kernel — its simd chain, its superword
+/// lowering and, once promoted, its native artifact — lives on the cached
+/// [`GeneratedKernel`], so one lookup serves them all and no tier is ever
+/// lowered twice.
 #[derive(Debug, Default)]
 pub struct KernelCache {
     kernels: Mutex<HashMap<KernelKey, Arc<GeneratedKernel>>>,
@@ -62,80 +67,6 @@ impl KernelCache {
     pub fn get(&self, isa: &str, mr: usize, nr: usize) -> Option<Arc<GeneratedKernel>> {
         let key = (isa.to_string(), mr, nr);
         self.kernels.lock().expect("kernel cache poisoned").get(&key).map(Arc::clone)
-    }
-
-    /// The cached tape backend for `(generator ISA, mr, nr)`, generating the
-    /// kernel on the first request. Tapes are compiled once per kernel and
-    /// cached alongside it; `None` means the shape generated but its
-    /// scheduled form could not be tape-compiled (interpreter fallback).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::GenError`] if the shape cannot be generated.
-    pub fn get_or_generate_tape(
-        &self,
-        generator: &MicroKernelGenerator,
-        mr: usize,
-        nr: usize,
-    ) -> Result<Option<Arc<exo_codegen::TapeKernel>>> {
-        Ok(self.get_or_generate(generator, mr, nr)?.tape.clone())
-    }
-
-    /// The cached superword backend for `(generator ISA, mr, nr)`,
-    /// generating the kernel on the first request. Superword tapes are
-    /// lowered once per kernel and cached alongside it; `None` means the
-    /// shape did not tape-compile (interpreter fallback).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::GenError`] if the shape cannot be generated.
-    pub fn get_or_generate_superword(
-        &self,
-        generator: &MicroKernelGenerator,
-        mr: usize,
-        nr: usize,
-    ) -> Result<Option<Arc<exo_codegen::SuperwordKernel>>> {
-        Ok(self.get_or_generate(generator, mr, nr)?.superword.clone())
-    }
-
-    /// The cached native SIMD chain for `(generator ISA, mr, nr)`,
-    /// generating the kernel on the first request. Chains are compiled
-    /// once per kernel and cached alongside it; `None` means the shape did
-    /// not tape-compile **or** the host lacks AVX2/FMA
-    /// (`exo_codegen::simd_available()`), in which case dispatch stays on
-    /// the superword tier.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::GenError`] if the shape cannot be generated.
-    pub fn get_or_generate_simd(
-        &self,
-        generator: &MicroKernelGenerator,
-        mr: usize,
-        nr: usize,
-    ) -> Result<Option<Arc<exo_codegen::SimdKernel>>> {
-        Ok(self.get_or_generate(generator, mr, nr)?.simd.clone())
-    }
-
-    /// The cached ahead-of-time native kernel for `(generator ISA, mr,
-    /// nr)`, generating the kernel on the first request — **non-blocking**.
-    /// The first call kicks a background build; `None` means "not
-    /// promoted (yet)": the build is still in flight, the host has no C
-    /// toolchain, the emitter declined the shape, or the engine
-    /// terminally rejected the key — dispatch stays on the simd tier
-    /// until the verified artifact lands (warm processes promote from
-    /// the exo-aot artifact cache without invoking the compiler).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::GenError`] if the shape cannot be generated.
-    pub fn get_or_generate_native(
-        &self,
-        generator: &MicroKernelGenerator,
-        mr: usize,
-        nr: usize,
-    ) -> Result<Option<Arc<exo_aot::NativeKernel>>> {
-        Ok(self.get_or_generate(generator, mr, nr)?.native())
     }
 
     /// Inserts an externally generated kernel (e.g. one built with custom
@@ -208,71 +139,59 @@ mod tests {
         assert!(cache.get("neon-f32", 16, 8).is_none());
     }
 
+    /// Two lookups of one shape: the second must be a warm hit.
+    fn looked_up_twice(cache: &KernelCache) -> (Arc<GeneratedKernel>, Arc<GeneratedKernel>) {
+        let generator = MicroKernelGenerator::new(neon_f32());
+        let first = cache.get_or_generate(&generator, 8, 12).unwrap();
+        let second = cache.get_or_generate(&generator, 8, 12).unwrap();
+        assert_eq!(cache.generator_invocations(), 1, "warm lookup must not regenerate");
+        (first, second)
+    }
+
     #[test]
     fn tapes_are_cached_alongside_kernels() {
         let cache = KernelCache::new();
-        let generator = MicroKernelGenerator::new(neon_f32());
-        let tape = cache.get_or_generate_tape(&generator, 8, 12).unwrap();
-        assert!(tape.is_some(), "the 8x12 kernel must tape-compile");
-        assert_eq!(cache.generator_invocations(), 1);
-        // A second request serves the same tape without regenerating.
-        let again = cache.get_or_generate_tape(&generator, 8, 12).unwrap().unwrap();
-        assert_eq!(cache.generator_invocations(), 1);
-        assert!(Arc::ptr_eq(&tape.unwrap(), &again));
+        let (first, second) = looked_up_twice(&cache);
+        assert!(Arc::ptr_eq(&first.tape, &second.tape), "a warm hit serves the same tape");
     }
 
     #[test]
     fn superword_tapes_are_cached_alongside_kernels() {
         let cache = KernelCache::new();
-        let generator = MicroKernelGenerator::new(neon_f32());
-        let sw = cache.get_or_generate_superword(&generator, 8, 12).unwrap();
-        assert!(sw.is_some(), "the 8x12 kernel must superword-compile");
-        assert_eq!(cache.generator_invocations(), 1);
-        let again = cache.get_or_generate_superword(&generator, 8, 12).unwrap().unwrap();
-        assert_eq!(cache.generator_invocations(), 1);
-        assert!(Arc::ptr_eq(&sw.unwrap(), &again));
+        let (first, second) = looked_up_twice(&cache);
+        let sw = first.superword.as_ref().expect("every generated kernel carries its superword lowering");
+        assert!(Arc::ptr_eq(sw, second.superword.as_ref().unwrap()));
     }
 
     #[test]
     fn simd_chains_are_cached_alongside_kernels() {
         let cache = KernelCache::new();
-        let generator = MicroKernelGenerator::new(neon_f32());
-        let simd = cache.get_or_generate_simd(&generator, 8, 12).unwrap();
-        assert_eq!(cache.generator_invocations(), 1);
+        let (first, second) = looked_up_twice(&cache);
         // The scalar ISA floor means a chain compiles on every host; it
         // targets whatever ISA the runtime selection (or an `EXO_ISA` pin)
         // chose for this process.
-        let simd = simd.expect("the scalar ISA floor must compile the 8x12 chain");
-        assert_eq!(simd.isa(), exo_codegen::active_isa());
-        let again = cache.get_or_generate_simd(&generator, 8, 12).unwrap().unwrap();
-        assert_eq!(cache.generator_invocations(), 1);
-        assert!(Arc::ptr_eq(&simd, &again));
+        assert_eq!(first.simd.isa(), exo_codegen::active_isa());
+        assert!(Arc::ptr_eq(&first.simd, &second.simd));
     }
 
     #[test]
     fn native_kernels_are_cached_alongside_kernels() {
         let cache = KernelCache::new();
-        let generator = MicroKernelGenerator::new(neon_f32());
-        // The first request may answer `None` while the background build
-        // is in flight; settle the verdict through the blocking path.
-        let settled = cache.get_or_generate(&generator, 8, 12).unwrap().native_wait();
-        assert_eq!(cache.generator_invocations(), 1);
-        match settled {
+        let (first, second) = looked_up_twice(&cache);
+        // The first poll may answer `None` while the background build is
+        // in flight; settle the verdict through the blocking path.
+        match first.native_wait() {
             // With a host toolchain the artifact promotes once and the
-            // handle is shared: the non-blocking path serves it too.
+            // handle is shared: the warm hit's non-blocking poll serves it.
             Some(native) => {
                 assert_eq!(native.isa(), exo_codegen::active_isa());
-                let again = cache.get_or_generate_native(&generator, 8, 12).unwrap().unwrap();
-                assert_eq!(cache.generator_invocations(), 1);
-                assert!(Arc::ptr_eq(&native, &again));
+                assert!(Arc::ptr_eq(&native, &second.native().unwrap()));
             }
             // Without one the decline is silent, permanent, and equally
             // cached.
-            None => {
-                assert!(cache.get_or_generate_native(&generator, 8, 12).unwrap().is_none());
-                assert_eq!(cache.generator_invocations(), 1);
-            }
+            None => assert!(second.native().is_none()),
         }
+        assert_eq!(cache.generator_invocations(), 1);
     }
 
     #[test]

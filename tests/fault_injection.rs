@@ -22,7 +22,7 @@ use exo_gemm::exo_serve::{
     CompletedJob, GemmBatch, GemmBatchExecutor, GemmJob, GemmService, JobHandle, OwnedMat, ServiceConfig,
     ServiceHealth, SubmitErrorReason,
 };
-use exo_gemm::gemm_blis::{BlisGemm, BlockingParams};
+use exo_gemm::gemm_blis::{BlisGemm, BlockingParams, ExecBackend};
 use exo_gemm::{GemmError, GemmExecutor};
 
 /// Fault countdowns are process-global: one experiment at a time.
@@ -238,9 +238,11 @@ fn slow_batches_expire_queued_deadlines() {
     assert_eq!(stats.jobs_completed, 1);
 }
 
-/// A simulated backend decline on a `beta = 0` job retries once on the
-/// next tier down and completes, stamped `degraded`, with the service
-/// health raised to `Degraded` (but still serving).
+/// A simulated backend decline on a `beta = 0` job of a default-pinned
+/// kernel retries once on the next tier down (simd) and completes, stamped
+/// `degraded`, with the service health raised to `Degraded` (but still
+/// serving). A superword-pinned kernel has no tier below it: its declined
+/// entry keeps its original error and is not retried.
 #[test]
 fn a_declined_entry_retries_one_tier_down_and_completes() {
     let _guard = serial();
@@ -263,6 +265,22 @@ fn a_declined_entry_retries_one_tier_down_and_completes() {
     // Degraded is not dead: the next clean job serves normally.
     let clean = service.submit(make_job(16, 16, 16, 10, 0.0)).expect("degraded still accepts");
     assert!(wait_or_hang(&clean).is_ok());
+
+    // The ladder is read from the configured backend, not the effective
+    // one, so this holds under any `EXO_BACKEND` override too.
+    let kernel = driver().kernel().clone().with_backend(ExecBackend::Superword);
+    let pinned = driver().with_kernel(kernel);
+    let mut job = make_job(24, 24, 24, 11, 0.0);
+    FaultPlan::new().decline(1).arm();
+    let report = pinned.gemm_batch(GemmBatch::from(vec![job.problem()]));
+    fault::disarm();
+    assert_eq!((report.retries, report.degraded_completions), (0, 0), "superword is the bottom tier");
+    match &report.outcomes[0] {
+        Err(GemmError::Kernel { message, .. }) => {
+            assert!(message.contains("simulated proof decline"), "original error expected: {message}")
+        }
+        other => panic!("expected the original kernel error, got {other:?}"),
+    }
 }
 
 /// Collector death is the worst case: the service flips to `Failed`,

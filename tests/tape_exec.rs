@@ -1,13 +1,15 @@
-//! Differential suite for the execution engines, now a **five-way**
-//! comparison with an **ISA axis**: the ahead-of-time compiled native
-//! tier (a dlopen'd `.so` emitted from the same superword tape), the
-//! in-process SIMD chain (compiled per vector ISA — AVX2/FMA, NEON, or
-//! the scalar reference), the superword backend, the scalar tape, the
-//! tree-walking interpreter, and the naive reference must agree. Where
-//! the computation is literally the same sequence of f32 operations
-//! (superword vs. tape vs. interpreter, arena vs. legacy driver, 1 vs. N
-//! threads, ic vs. jc split — and any one SIMD chain against *itself*
-//! across drivers and thread counts), they must agree **bit for bit**.
+//! Differential suite for the execution ladder native → simd → superword,
+//! with an **ISA axis**: the ahead-of-time compiled native tier (a
+//! dlopen'd `.so` emitted from the superword tape), the in-process SIMD
+//! chain (compiled per vector ISA — AVX2/FMA, NEON, or the scalar
+//! reference), the superword tier, the bitwise oracles (the tree-walking
+//! interpreter `CompiledKernel::run` per kernel call, the scalar
+//! `reference_kernel` per driver run), and the naive reference must
+//! agree. Where the computation is literally the same sequence of f32
+//! operations (superword vs. the oracles, a fresh call vs. a reused
+//! runner, 1 vs. N threads, ic vs. jc split — and any one SIMD chain
+//! against *itself* across drivers and thread counts), they must agree
+//! **bit for bit**.
 //! The native tier is emitted so that each lane performs the same fused
 //! (or, on the scalar floor, unfused) operations as the simd chain, so
 //! native vs. simd is held to exact equality on every host — including
@@ -27,11 +29,11 @@ mod common;
 use std::sync::Arc;
 
 use common::{assert_fma_close, Cases};
-use exo_gemm::exo_codegen::SimdKernel;
+use exo_gemm::exo_codegen::{RunArg, SimdKernel};
 use exo_gemm::exo_isa::neon_f32;
 use exo_gemm::gemm_blis::{
-    active_isa, exo_kernel, exo_kernel_interp, exo_kernel_simd, exo_kernel_superword, exo_kernel_tape,
-    naive_gemm, native_available, toolchain, BlisGemm, BlockingParams, ExecBackend, GemmProblem, IsaKind,
+    active_isa, exo_kernel, exo_kernel_simd, exo_kernel_superword, naive_gemm, native_available,
+    reference_kernel, toolchain, BlisGemm, BlockingParams, ExecBackend, GemmProblem, GemmRunner, IsaKind,
     Matrix,
 };
 use exo_gemm::ukernel_gen::{KernelCache, KernelSet, MicroKernelGenerator};
@@ -43,16 +45,17 @@ fn packed_operands(mr: usize, nr: usize, kc: usize, cases: &mut Cases) -> (Vec<f
     (a, b, c)
 }
 
-/// Five-way differential on every registry tile shape, plus the 4x24 and
-/// 12x8 tiles the tuner selects for ResNet50, across several KC values
+/// Kernel-level differential on every registry tile shape, plus the 4x24
+/// and 12x8 tiles the tuner selects for ResNet50, across several KC values
 /// from `k = 0` and `k = 1` up to the production depths of the ResNet50
-/// verdicts (`kc = 400` and `512`): superword ≡ tape ≡ interpreter
-/// bit-for-bit, the SIMD chain within the FMA-contraction bound, and the
-/// ahead-of-time native tier **bit-identical to the SIMD chain** — with a
-/// toolchain because the emitted C performs the same per-lane fused ops,
-/// without one because the fallback *is* the chain.
+/// verdicts (`kc = 400` and `512`): superword ≡ interpreter bit-for-bit,
+/// the SIMD chain within the FMA-contraction bound, and the ahead-of-time
+/// native tier **bit-identical to the SIMD chain** — with a toolchain
+/// because the emitted C performs the same per-lane fused ops, without one
+/// because the fallback *is* the chain. The tiers are called directly, so
+/// an `EXO_BACKEND` override does not collapse them.
 #[test]
-fn native_simd_superword_tape_and_interpreter_agree_across_registry_shapes() {
+fn native_simd_superword_and_the_interpreter_agree_across_registry_shapes() {
     let cache = KernelCache::new();
     let generator = MicroKernelGenerator::new(neon_f32());
     let mut cases = Cases::new(0x7a9e);
@@ -60,52 +63,56 @@ fn native_simd_superword_tape_and_interpreter_agree_across_registry_shapes() {
         KernelSet::paper_shapes().into_iter().chain([(4, 24), (12, 8)]).collect();
     for &(mr, nr) in &shapes {
         let kernel = cache.get_or_generate(&generator, mr, nr).unwrap();
-        assert!(kernel.tape.is_some(), "{mr}x{nr} must tape-compile");
-        let sw = kernel.superword.as_ref().unwrap_or_else(|| panic!("{mr}x{nr} must superword-compile"));
+        let sw = kernel.superword.as_ref().expect("every generated kernel carries its superword lowering");
         assert!(sw.vector_op_count() > 0, "{mr}x{nr} must pack whole-vector ops");
-        let chain = kernel.simd.as_ref().unwrap_or_else(|| {
-            panic!("{mr}x{nr} must compile a SIMD chain (the scalar ISA floor exists everywhere)")
-        });
-        assert_eq!(chain.isa(), exo_gemm::gemm_blis::active_isa(), "{mr}x{nr}: chain targets the active ISA");
+        assert_eq!(kernel.simd.isa(), active_isa(), "{mr}x{nr}: chain targets the active ISA");
         // Settle the asynchronous native verdict before measuring, so the
         // bit-faithfulness leg below actually exercises the compiled tier
         // whenever a toolchain answers. A None verdict (no toolchain, or
-        // the engine declined) is fine — the fallback covers it below.
-        if let Some(native) = kernel.native_wait() {
+        // the engine declined) is fine — the chain stands in for it below.
+        let native = kernel.native_wait();
+        if let Some(native) = &native {
             assert!(native_available(), "{mr}x{nr}: a native kernel implies an answering toolchain");
             assert_eq!(native.isa(), active_isa(), "{mr}x{nr}: native artifact targets the active ISA");
         }
         for kc in [0usize, 1, 2, 17, 64, 400, 512] {
             let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
             let mut c_simd = c0.clone();
-            kernel.run_packed(kc, &a, &b, &mut c_simd).unwrap();
+            kernel.simd.run_packed(kc, &a, &b, &mut c_simd).unwrap();
             let mut c_sw = c0.clone();
-            kernel.run_packed_superword(kc, &a, &b, &mut c_sw).unwrap();
-            let mut c_tape = c0.clone();
-            kernel.run_packed_tape(kc, &a, &b, &mut c_tape).unwrap();
-            let mut c_interp = c0.clone();
-            kernel.run_packed_interp(kc, &a, &b, &mut c_interp).unwrap();
+            sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+            let (mut a_buf, mut b_buf, mut c_interp) = (a.clone(), b.clone(), c0.clone());
+            kernel
+                .compiled
+                .run(&mut [
+                    RunArg::Size(kc as i64),
+                    RunArg::Tensor(&mut a_buf),
+                    RunArg::Tensor(&mut b_buf),
+                    RunArg::Tensor(&mut c_interp),
+                ])
+                .unwrap();
             let mut c_native = c0.clone();
-            kernel.run_packed_native(kc, &a, &b, &mut c_native).unwrap();
+            match &native {
+                Some(native) => native.run_packed(kc, &a, &b, &mut c_native).unwrap(),
+                None => kernel.simd.run_packed(kc, &a, &b, &mut c_native).unwrap(),
+            }
             assert_eq!(c_native, c_simd, "{mr}x{nr} kc={kc}: native must be bit-faithful to simd");
-            assert_eq!(c_sw, c_tape, "{mr}x{nr} kc={kc}: superword vs tape");
-            assert_eq!(c_tape, c_interp, "{mr}x{nr} kc={kc}: tape vs interpreter");
+            assert_eq!(c_sw, c_interp, "{mr}x{nr} kc={kc}: superword vs interpreter");
             assert_fma_close(&c_simd, &c_sw, kc, &format!("{mr}x{nr} kc={kc}: simd vs superword"));
             if kc == 0 {
                 assert_eq!(c_simd, c_sw, "{mr}x{nr} kc=0: no FMA executes, all tiers bit-equal");
             }
         }
     }
-    // The cache compiled each tape, superword, and simd lowering exactly
-    // once, alongside its kernel.
+    // The cache lowered each kernel's tiers exactly once, alongside it.
     assert_eq!(cache.generator_invocations(), shapes.len() as u64);
 }
 
-/// All five tiers agree with `naive_gemm` (to accumulation tolerance) on
-/// fringe-heavy problems through the full five-loop driver; the portable
-/// driver runs are bit-identical to each other, the native (default)
-/// driver run is bit-identical to the pinned-simd run, and both stay
-/// within the FMA bound of the portable tiers.
+/// Every tier agrees with `naive_gemm` (to accumulation tolerance) on
+/// fringe-heavy problems through the full five-loop driver; the superword
+/// run is bit-identical to the scalar `reference_kernel` through the same
+/// driver, the native (default) run is bit-identical to the pinned-simd
+/// run, and both stay within the FMA bound of the superword tier.
 #[test]
 fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
     let generator = MicroKernelGenerator::new(neon_f32());
@@ -135,14 +142,12 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
             let c_native = run(exo_kernel(Arc::clone(&kernel)));
             let c_simd = run(exo_kernel_simd(Arc::clone(&kernel)));
             let c_sw = run(exo_kernel_superword(Arc::clone(&kernel)));
-            let c_tape = run(exo_kernel_tape(Arc::clone(&kernel)));
-            let c_interp = run(exo_kernel_interp(Arc::clone(&kernel)));
+            let c_ref = run(reference_kernel(mr, nr));
             assert_eq!(
                 c_native.data, c_simd.data,
                 "{mr}x{nr} on {m}x{n}x{k}: native (default) vs pinned-simd driver"
             );
-            assert_eq!(c_sw.data, c_tape.data, "{mr}x{nr} on {m}x{n}x{k}: superword vs tape driver");
-            assert_eq!(c_tape.data, c_interp.data, "{mr}x{nr} on {m}x{n}x{k}: tape vs interp driver");
+            assert_eq!(c_sw.data, c_ref.data, "{mr}x{nr} on {m}x{n}x{k}: superword vs reference driver");
             assert_fma_close(
                 &c_simd.data,
                 &c_sw.data,
@@ -196,11 +201,24 @@ fn forced_superword_fallback_is_bit_identical_to_the_superword_pin() {
     }
 }
 
-/// The arena hot path computes bit-identical results to the legacy
-/// allocate-per-block path — per tier, including the SIMD chain (same op
-/// order either way).
+/// A runner of `driver` that has already solved a problem larger than
+/// `m x n x k` in every dimension, so its arena and staged tile hold
+/// unrelated values when the caller's problem arrives.
+fn dirty_runner<'d>(driver: &'d BlisGemm, m: usize, n: usize, k: usize, cases: &mut Cases) -> GemmRunner<'d> {
+    let (m, n, k) = (m + 9, n + 13, k + 7);
+    let a = Matrix::from_fn(m, k, |_, _| cases.f32_unit() * 8.0 - 4.0);
+    let b = Matrix::from_fn(k, n, |_, _| cases.f32_unit() * 8.0 - 4.0);
+    let mut c = Matrix::from_fn(m, n, |_, _| cases.f32_unit());
+    let mut runner = driver.runner();
+    runner.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()).alpha(3.0).beta(-2.0)).unwrap();
+    runner
+}
+
+/// A fresh driver call computes bit-identical results to a reused runner
+/// whose arena a larger problem has dirtied — per tier, including the
+/// SIMD chain (same packing, same op order either way).
 #[test]
-fn arena_driver_is_bit_identical_to_the_legacy_driver() {
+fn arena_driver_is_bit_identical_to_a_reused_dirty_runner() {
     let generator = MicroKernelGenerator::new(neon_f32());
     let kernel = Arc::new(generator.generate(8, 8).unwrap());
     let mut cases = Cases::new(0xc0de);
@@ -213,16 +231,16 @@ fn arena_driver_is_bit_identical_to_the_legacy_driver() {
             ("simd", exo_kernel(Arc::clone(&kernel))),
             ("superword", exo_kernel_superword(Arc::clone(&kernel))),
         ] {
-            let mut c_arena = c0.clone();
+            let mut c_fresh = c0.clone();
             BlisGemm::new(blocking)
-                .gemm_with(&kimpl, GemmProblem::new(a.view(), b.view(), c_arena.view_mut()))
+                .gemm_with(&kimpl, GemmProblem::new(a.view(), b.view(), c_fresh.view_mut()))
                 .unwrap();
-            let mut c_legacy = c0.clone();
-            BlisGemm::new(blocking)
-                .without_arena()
-                .gemm_with(&kimpl, GemmProblem::new(a.view(), b.view(), c_legacy.view_mut()))
+            let driver = BlisGemm::new(blocking).with_kernel(kimpl);
+            let mut c_reused = c0.clone();
+            dirty_runner(&driver, m, n, k, &mut cases)
+                .gemm(GemmProblem::new(a.view(), b.view(), c_reused.view_mut()))
                 .unwrap();
-            assert_eq!(c_arena.data, c_legacy.data, "{m}x{n}x{k} {label}");
+            assert_eq!(c_fresh.data, c_reused.data, "{m}x{n}x{k} {label}");
         }
     }
 }
@@ -279,7 +297,6 @@ fn jc_split_is_bit_identical_across_backends_and_thread_counts() {
         for (label, kimpl) in [
             ("simd", exo_kernel(Arc::clone(&kernel))),
             ("superword", exo_kernel_superword(Arc::clone(&kernel))),
-            ("tape", exo_kernel_tape(Arc::clone(&kernel))),
         ] {
             let mut c_seq = c0.clone();
             BlisGemm::new(blocking)
@@ -477,7 +494,7 @@ fn the_active_isa_is_the_native_one_unless_pinned() {
     }
     // The generator's chains report the same selection.
     let kernel = MicroKernelGenerator::new(neon_f32()).generate(4, 4).unwrap();
-    assert_eq!(kernel.simd.as_ref().expect("scalar floor").isa(), active);
+    assert_eq!(kernel.simd.isa(), active);
 }
 
 /// The native-tier probe the CI toolchain legs assert against. With an
@@ -487,7 +504,7 @@ fn the_active_isa_is_the_native_one_unless_pinned() {
 /// none (`EXO_CC=/nonexistent/cc` on the poisoned leg, or a genuinely
 /// bare host), the tier must vanish without a single error surfacing:
 /// `native_available()` is false, no artifact exists, and the Native
-/// entry points still answer — running the simd chain, bit for bit.
+/// dispatch still answers — running the simd chain, bit for bit.
 #[test]
 fn the_native_tier_follows_the_toolchain_probe_and_never_errors() {
     assert_eq!(ExecBackend::default(), ExecBackend::Native, "Native is the top of the default ladder");
@@ -507,17 +524,19 @@ fn the_native_tier_follows_the_toolchain_probe_and_never_errors() {
             assert!(kernel.native_wait().is_none(), "no toolchain, no artifact — and no error either");
         }
     }
-    // Both probe branches continue here: the packed entry point and the
+    // Both probe branches continue here: the dispatch handle and the
     // full driver under an explicit `Native` pin answer identically to
-    // the simd chain, so a toolchain outage is invisible except in speed.
+    // the simd pin, so a toolchain outage is invisible except in speed.
     let mut cases = Cases::new(0xaa07);
+    let mut native = exo_kernel(Arc::clone(&kernel)).with_backend(ExecBackend::Native).dispatcher();
+    let mut simd = exo_kernel_simd(Arc::clone(&kernel)).dispatcher();
     for kc in [0usize, 1, 7, 33] {
         let (a, b, c0) = packed_operands(8, 12, kc, &mut cases);
         let mut c_native = c0.clone();
-        kernel.run_packed_native(kc, &a, &b, &mut c_native).unwrap();
+        native.run(kc, &a, &b, &mut c_native).unwrap();
         let mut c_simd = c0.clone();
-        kernel.simd.as_ref().expect("scalar floor").run_packed(kc, &a, &b, &mut c_simd).unwrap();
-        assert_eq!(c_native, c_simd, "kc={kc}: native entry point vs simd chain");
+        simd.run(kc, &a, &b, &mut c_simd).unwrap();
+        assert_eq!(c_native, c_simd, "kc={kc}: native dispatch vs simd dispatch");
     }
     let blocking = BlockingParams { mc: 16, kc: 8, nc: 24, mr: 8, nr: 12 };
     for &(m, n, k) in &[(37usize, 29usize, 23usize), (8, 60, 9)] {
