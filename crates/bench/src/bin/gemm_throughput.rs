@@ -3,8 +3,8 @@
 //! runs the arena driver, the only one; the `+arena` in some names keeps
 //! them comparable with the committed baseline:
 //!
-//! * `superword+arena`          — the superword whole-vector kernel, one
-//!   thread: the portable tier at the bottom of the ladder,
+//! * `superword+arena`          — the superword IR on the scalar chain,
+//!   one thread: the portable tier at the bottom of the ladder,
 //! * `superword+arena+threads`  — arenas plus the threaded block loop
 //!   (all cores),
 //! * `superword+arena+strided`  — the portable path over *strided*
@@ -50,8 +50,8 @@
 //!   superword+arena` (a faster tier measuring slower than its fallback
 //!   means the fast path regressed below the slow one); the
 //!   `simd >= superword` leg only applies when a *native* ISA is selected
-//!   (`simd_available()`), since the scalar chain has no vector win over
-//!   the superword loop and the two differ only by noise, and the
+//!   (`simd_available()`), since otherwise both series run the same
+//!   scalar chain, and the
 //!   `native >= simd` leg only applies when a C toolchain answered the
 //!   probe (`native_available()`), since without one the native series
 //!   *is* the simd chain;
@@ -681,9 +681,8 @@ fn main() {
     // CI gate 1: the backend ordering native >= simd >= superword+arena
     // must hold at every size — a faster tier measuring slower than its
     // own fallback is a hard regression. The simd leg only applies where a
-    // *native* chain runs: on the scalar ISA the chain does the same
-    // scalar arithmetic as the superword loop and the two differ only by
-    // measurement noise.
+    // *native* chain runs: on the scalar ISA both series run the same
+    // scalar chain.
     let mut failed = false;
     for (i, &size) in sizes.iter().enumerate() {
         if simd_available() && gflops[simd_i][i] < gflops[sw_i][i] {

@@ -27,7 +27,7 @@ use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use exo_codegen::{active_isa, emit_superword_c, fma_contraction_tol, IsaKind, SuperwordKernel};
+use exo_codegen::{active_isa, emit_superword_c, fma_contraction_tol, IsaKind, SimdKernel, SuperwordKernel};
 
 use crate::dylib::Dylib;
 use crate::error::{io_err, AotError, Result};
@@ -770,7 +770,8 @@ fn run_with_deadline(
 
 /// Verified promotion: before a freshly built *or* disk-loaded kernel
 /// enters dispatch, run it on a deterministic seeded probe problem and
-/// compare against the portable superword tier within the documented
+/// compare against the scalar chain (the portable `superword` rung,
+/// bit-identical to the interpreter) within the documented
 /// FMA-contraction bound ([`fma_contraction_tol`]; the scalar lowering
 /// is bit-exact, well inside it). A mismatch quarantines the artifact to
 /// `<path>.wrong-result` and the caller pins the key to simd terminally.
@@ -811,7 +812,9 @@ fn verify(
     unsafe { (kernel.raw())(PROBE_KC as i64, ac.as_ptr(), bc.as_ptr(), c_native.as_mut_ptr()) };
 
     let mut c_ref = c0;
-    sw.run_packed(PROBE_KC, &ac, &bc, &mut c_ref)
+    SimdKernel::compile_for(Arc::clone(sw), IsaKind::Scalar)
+        .ok_or_else(|| AotError::Unsupported { what: "a tape the scalar chain declines".into() })?
+        .run_packed(PROBE_KC, &ac, &bc, &mut c_ref)
         .map_err(|e| AotError::Unsupported { what: format!("a probe the portable tier declines ({e})") })?;
 
     let tol = fma_contraction_tol(PROBE_KC);

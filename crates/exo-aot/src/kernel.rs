@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use exo_codegen::{IsaKind, SimdDispatch, SuperwordKernel};
+use exo_codegen::{CodegenError, IsaKind, SimdDispatch, SimdKernel, SuperwordKernel};
 
 use crate::dylib::Dylib;
 use crate::error::Result;
@@ -11,8 +11,7 @@ use crate::error::Result;
 pub const KERNEL_SYMBOL: &str = "exo_aot_kernel";
 
 /// The packed micro-kernel ABI: `(KC, Ac, Bc, C)`, matching
-/// [`SuperwordKernel::run_packed`] with the slices lowered to raw
-/// pointers.
+/// [`SimdKernel::run_packed`] with the slices lowered to raw pointers.
 pub type KernelFn = unsafe extern "C" fn(i64, *const f32, *const f32, *mut f32);
 
 /// A compiled, loaded native micro-kernel.
@@ -72,13 +71,14 @@ impl NativeKernel {
     }
 
     /// Runs the packed micro-kernel `c += ac * bc` natively when the
-    /// affine-interval proof admits the call, and through the checked
-    /// superword tier otherwise — same decline behaviour as the simd
-    /// chain, so the native tier never trades safety for speed.
+    /// affine-interval proof admits the call, and through the scalar
+    /// chain's checked reference loop otherwise — same decline behaviour
+    /// as the simd chain, so the native tier never trades safety for
+    /// speed.
     ///
     /// # Errors
     ///
-    /// As [`SuperwordKernel::run_packed`] (only reachable on the checked
+    /// As [`SimdKernel::run_packed`] (only reachable on the checked
     /// fallback path; proven calls cannot fail).
     pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> exo_codegen::Result<()> {
         if self.source.packed_bounds_provable(kc, ac.len(), bc.len(), c.len()) {
@@ -90,7 +90,12 @@ impl NativeKernel {
             unsafe { (self.f)(kc as i64, ac.as_ptr(), bc.as_ptr(), c.as_mut_ptr()) };
             Ok(())
         } else {
-            self.source.run_packed(kc, ac, bc, c)
+            SimdKernel::compile_for(Arc::clone(&self.source), IsaKind::Scalar)
+                .ok_or_else(|| CodegenError::Unsupported {
+                    backend: "simd",
+                    what: "a tape the scalar chain declines".into(),
+                })?
+                .run_packed(kc, ac, bc, c)
         }
     }
 }

@@ -22,15 +22,16 @@
 //!    entries are quarantined (`<path>.corrupt`) and rebuilt.
 //! 3. **Dispatch** — [`NativeKernel`] / [`NativeDispatch`] guard every
 //!    call with the same affine-interval bounds proof as the simd tier
-//!    and route unproven calls to the checked tiers below.
+//!    and route unproven calls to the checked reference loop.
 //!
 //! The engine is *asynchronous by default* — trust-but-verify. A
 //! kernel's first [`AotEngine::poll`] kicks a bounded background build
 //! and returns `None` (the caller serves on the simd tier); the key
 //! promotes atomically once the build lands **and** the loaded code
-//! passes a deterministic probe run against the portable tier (a
-//! mismatch quarantines the artifact as `<path>.wrong-result` and pins
-//! the key to simd). Compiler invocations run under a kill-on-deadline
+//! passes a deterministic probe run against the scalar chain — the
+//! portable `superword` rung, compiled from the same tape (a mismatch
+//! quarantines the artifact as `<path>.wrong-result` and pins the key to
+//! simd). Compiler invocations run under a kill-on-deadline
 //! wrapper (`EXO_AOT_TIMEOUT_MS`), failed keys retry with exponential
 //! backoff at most [`engine::MAX_BUILD_ATTEMPTS`] times per process, and
 //! engine init sweeps stale cache debris.

@@ -275,6 +275,29 @@ fn the_dispatch_handle_memoises_proofs_and_falls_back_when_unproven() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// The one-shot native call guards itself like the dispatch handle: an
+/// unprovable call never reaches the C kernel, and its fallback reports
+/// the same error, after the same partial stores, as the simd chain's.
+#[test]
+fn the_one_shot_native_call_falls_back_when_unproven() {
+    let _serial = serial();
+    if !exo_aot::native_available() {
+        return;
+    }
+    let (engine, dir) = scratch_engine("oneshot");
+    let sw = staged_superword(8, 4);
+    let native = engine.compile(&sw, active_isa()).unwrap();
+    let chain = SimdKernel::compile(Arc::clone(&sw)).expect("the active ISA compiles");
+    let (a, b, c0) = packed_inputs(8, 4, 17);
+    // Claim kc = 1000 over operands sized for 17.
+    let (mut c_native, mut c_chain) = (c0.clone(), c0.clone());
+    let native_err = native.run_packed(1000, &a, &b, &mut c_native).expect_err("unprovable");
+    let chain_err = chain.run_packed(1000, &a, &b, &mut c_chain).expect_err("unprovable");
+    assert_eq!(native_err.to_string(), chain_err.to_string());
+    assert_eq!(c_native, c_chain);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn warm_start_skips_the_compiler_entirely() {
     let _serial = serial();
@@ -359,7 +382,8 @@ fn a_missing_toolchain_is_a_typed_decline() {
             let mut c_native = c0.clone();
             k.run_packed(13, &a, &b, &mut c_native).unwrap();
             let mut c_sw = c0.clone();
-            sw.run_packed(13, &a, &b, &mut c_sw).unwrap();
+            let chain = SimdKernel::compile_for(Arc::clone(&sw), IsaKind::Scalar).unwrap();
+            chain.run_packed(13, &a, &b, &mut c_sw).unwrap();
             // The scalar floor is bit-exact against the portable tiers.
             assert_eq!(c_native, c_sw, "the scalar lowering must match the superword tape bitwise");
         }
@@ -378,8 +402,15 @@ fn the_fault_hook_fails_compiles_without_touching_the_cache() {
     let sw = staged_superword(4, 4);
     exo_aot::arm_compile_fail(1);
     let err = engine.compile(&sw, active_isa()).expect_err("the armed hook must fire");
-    assert_eq!(err, AotError::FaultInjected);
-    assert_eq!(engine.compiler_invocations(), 0, "the hook fires before the toolchain");
+    if exo_aot::native_available() {
+        assert_eq!(err, AotError::FaultInjected);
+        assert_eq!(engine.compiler_invocations(), 0, "the hook fires before the toolchain");
+    } else {
+        // With no toolchain `prepare` declines before there is anything
+        // to build, so the hook (armed on the build step) never runs.
+        assert_eq!(err, AotError::ToolchainMissing);
+        assert_eq!(engine.compiler_invocations(), 0);
+    }
     exo_aot::arm_compile_fail(0);
     // Disarmed, the same engine compiles normally (when a toolchain
     // exists).

@@ -49,6 +49,6 @@ pub use exec::{compile, CompiledKernel, RunArg};
 pub use simd::{
     active_isa, env_isa_override, fma_contraction_tol, simd_available, IsaKind, SimdDispatch, SimdKernel,
 };
-pub use superword::{SuperwordDispatch, SuperwordKernel, TensorView};
+pub use superword::{SuperwordKernel, TensorView};
 pub use tape::TapeKernel;
 pub use trace::{extract_trace, summarise, KernelTrace, MachineOp};

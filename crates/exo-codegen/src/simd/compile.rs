@@ -7,6 +7,33 @@
 //! again. Register-file copies (`VLoad`/`VStore`) are plain memcpys and
 //! need no intrinsics; the FMA ops route through the ISA's register-run
 //! helpers, which pick vector bodies, masked fringes, and scalar tails.
+//!
+//! # Safety contract
+//!
+//! This file is the only bounds-free in-process executor: every step
+//! closure dereferences the raw register-file and tensor pointers it is
+//! handed without a check. The closures are only ever called through
+//! [`run_nodes`], and `run_nodes` only from `SimdKernel::exec_unchecked`,
+//! whose one caller has established three obligations for the source
+//! superword kernel (the `// SAFETY:` comments below cite them by name):
+//!
+//! 1. **Construction proof** — `to_superword` proved every register
+//!    operand, including whole `dst..dst+lanes` runs, inside the register
+//!    file `regs` points to; every buffer index inside the tensor table;
+//!    every loop slot inside the loop table; and the loop structure well
+//!    nested (a slot is written by its loop before its body reads it).
+//! 2. **Memoised interval proof** — the `bounds_provable` verdict for these
+//!    exact scalars and buffer lengths: every tensor address the tape
+//!    evaluates, for every counter value its loops take, lies inside its
+//!    buffer — for a `lanes`-wide access, the whole run.
+//! 3. **`Rw` views** — `validate_views` rejected read-only views of the
+//!    tensors the tape writes, so every store goes through a pointer
+//!    derived from a `&mut [f32]`, and no tensor aliases the register
+//!    file.
+//!
+//! Register reads and writes rest on (1) alone; tensor accesses on (1)
+//! for the buffer index and the loop slots, (2) for the address, and (3)
+//! for stores.
 
 use super::VectorIsa;
 use crate::superword::{SAddr, VOp};
@@ -92,6 +119,10 @@ fn copy_step<const LOAD: bool>(reg: usize, buf: usize, lanes: usize, addr: &SAdd
     // touches the general evaluator on the packed-operand walk.
     if let SAddr::Loop { base, slot, coeff } = *addr {
         let slot = slot as usize;
+        // SAFETY: construction proof — `reg..reg + lanes` is in the register
+        // file, `buf` in the tensor table, `slot` in the loop table; interval
+        // proof — `idx..idx + lanes` is in the tensor; `Rw` views — a store
+        // targets a writable tensor.
         Box::new(move |regs, tens, loops, _scalars| unsafe {
             let idx = (base + coeff * *loops.get_unchecked(slot)) as usize;
             let t = (*tens.get_unchecked(buf)).add(idx);
@@ -103,6 +134,9 @@ fn copy_step<const LOAD: bool>(reg: usize, buf: usize, lanes: usize, addr: &SAdd
         })
     } else {
         let addr = addr.clone();
+        // SAFETY: as the loop-term form above — construction proof for the
+        // register run and the buffer index, interval proof for
+        // `idx..idx + lanes`, `Rw` views for a store.
         Box::new(move |regs, tens, loops, scalars| unsafe {
             let idx = addr.eval(loops, scalars) as usize;
             let t = (*tens.get_unchecked(buf)).add(idx);
@@ -119,10 +153,15 @@ fn copy_step<const LOAD: bool>(reg: usize, buf: usize, lanes: usize, addr: &SAdd
 fn fma_lane_step<I: VectorIsa>(dst: usize, a: usize, b: usize, lanes: usize) -> StepFn {
     if a != dst && overlaps(a, lanes, dst, lanes) {
         // Partial overlap: ascending lane order is semantic — keep it.
+        // SAFETY: construction proof — both runs and `b` are in the register
+        // file, which is all `fma_run_inorder` requires.
         Box::new(move |regs, _tens, _loops, _scalars| unsafe {
             I::fma_run_inorder(regs, dst, a, *regs.add(b), lanes);
         })
     } else {
+        // SAFETY: construction proof — both runs and `b` are in the register
+        // file; the runs are identical or disjoint (checked just above), as
+        // `fma_run` requires.
         Box::new(move |regs, _tens, _loops, _scalars| unsafe {
             I::fma_run(regs, dst, a, *regs.add(b), lanes);
         })
@@ -141,6 +180,10 @@ fn fma_bcast_step<I: VectorIsa>(
 ) -> StepFn {
     let addr = addr.clone();
     let plain_order = a == dst || !overlaps(a, lanes, dst, lanes);
+    // SAFETY: construction proof — both runs and `scratch` are in the
+    // register file and `buf` in the tensor table; interval proof — `idx`
+    // is in the tensor (a read, so no `Rw` obligation); `fma_run` gets the
+    // identical-or-disjoint runs it requires, `fma_run_inorder` the rest.
     Box::new(move |regs, tens, loops, scalars| unsafe {
         let idx = addr.eval(loops, scalars) as usize;
         let bval = *(*tens.get_unchecked(buf)).add(idx);
@@ -164,10 +207,14 @@ fn scalar_step<I: VectorIsa>(op: &TOp) -> Option<StepFn> {
     Some(match op {
         TOp::ConstF { dst, val } => {
             let (dst, val) = (*dst as usize, *val);
+            // SAFETY: construction proof — `dst` is in the register file.
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = val })
         }
         TOp::LoadT { dst, buf, addr } => {
             let (dst, buf, at) = (*dst as usize, *buf as usize, addr_eval(addr));
+            // SAFETY: construction proof — `dst` is in the register file and
+            // `buf` in the tensor table; interval proof — `idx` is in the
+            // tensor.
             Box::new(move |regs, tens, loops, scalars| unsafe {
                 let idx = at(loops, scalars) as usize;
                 *regs.add(dst) = *(*tens.get_unchecked(buf)).add(idx);
@@ -175,6 +222,9 @@ fn scalar_step<I: VectorIsa>(op: &TOp) -> Option<StepFn> {
         }
         TOp::StoreT { src, buf, addr } => {
             let (src, buf, at) = (*src as usize, *buf as usize, addr_eval(addr));
+            // SAFETY: construction proof — `src` is in the register file and
+            // `buf` in the tensor table; interval proof — `idx` is in the
+            // tensor; `Rw` views — the tensor is writable.
             Box::new(move |regs, tens, loops, scalars| unsafe {
                 let idx = at(loops, scalars) as usize;
                 *(*tens.get_unchecked(buf)).add(idx) = *regs.add(src);
@@ -182,46 +232,65 @@ fn scalar_step<I: VectorIsa>(op: &TOp) -> Option<StepFn> {
         }
         TOp::Mov { dst, src } => {
             let (dst, src) = (*dst as usize, *src as usize);
+            // SAFETY: construction proof — `dst` and `src` are in the
+            // register file.
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = *regs.add(src) })
         }
         TOp::Add { dst, a, b } => {
             let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
+            // SAFETY: construction proof — `dst`, `a` and `b` are in the
+            // register file.
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = *regs.add(a) + *regs.add(b) })
         }
         TOp::Sub { dst, a, b } => {
             let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
+            // SAFETY: construction proof — `dst`, `a` and `b` are in the
+            // register file.
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = *regs.add(a) - *regs.add(b) })
         }
         TOp::Mul { dst, a, b } => {
             let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
+            // SAFETY: construction proof — `dst`, `a` and `b` are in the
+            // register file.
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = *regs.add(a) * *regs.add(b) })
         }
         TOp::Div { dst, a, b } => {
             let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
+            // SAFETY: construction proof — `dst`, `a` and `b` are in the
+            // register file.
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = *regs.add(a) / *regs.add(b) })
         }
         TOp::Neg { dst, src } => {
             let (dst, src) = (*dst as usize, *src as usize);
+            // SAFETY: construction proof — `dst` and `src` are in the
+            // register file.
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) = -*regs.add(src) })
         }
         TOp::Fma { dst, a, b } => {
             let (dst, a, b) = (*dst as usize, *a as usize, *b as usize);
+            // SAFETY: construction proof — `dst`, `a` and `b` are in the
+            // register file, which is all `fma_run_inorder` requires.
             Box::new(move |regs, _t, _l, _s| unsafe {
                 I::fma_run_inorder(regs, dst, a, *regs.add(b), 1);
             })
         }
         TOp::AddAssign { dst, src } => {
             let (dst, src) = (*dst as usize, *src as usize);
+            // SAFETY: construction proof — `dst` and `src` are in the
+            // register file.
             Box::new(move |regs, _t, _l, _s| unsafe { *regs.add(dst) += *regs.add(src) })
         }
         TOp::CastI { dst, value } => {
             let (dst, at) = (*dst as usize, addr_eval(value));
+            // SAFETY: construction proof — `dst` is in the register file and
+            // every term of `value` in its scalar or loop table.
             Box::new(move |regs, _tens, loops, scalars| unsafe {
                 *regs.add(dst) = at(loops, scalars) as f32;
             })
         }
         TOp::Round { reg } => {
             let reg = *reg as usize;
+            // SAFETY: construction proof — `reg` is in the register file.
             Box::new(move |regs, _t, _l, _s| unsafe {
                 let r = regs.add(reg);
                 *r = exo_ir::types::f16_round(f64::from(*r)) as f32;
@@ -229,6 +298,8 @@ fn scalar_step<I: VectorIsa>(op: &TOp) -> Option<StepFn> {
         }
         TOp::Zero { base, len } => {
             let (base, len) = (*base as usize, *len as usize);
+            // SAFETY: construction proof — `base..base + len` is in the
+            // register file.
             Box::new(move |regs, _t, _l, _s| unsafe {
                 std::ptr::write_bytes(regs.add(base), 0, len);
             })
@@ -294,6 +365,12 @@ struct StageLoad {
 /// The monomorphic fused micro-iteration: `N` stage loads then the
 /// tile, one indirect call per `k` iteration, everything unrolled.
 fn fused_iteration<I: VectorIsa, const N: usize>(loads: [StageLoad; N], tile: Tile) -> StepFn {
+    // SAFETY: each load is one `VLoad` of the source — construction proof
+    // for its register run, buffer index and loop slot, interval proof for
+    // `idx..idx + lanes` (a read, so no `Rw` obligation). The tile is a run
+    // of `VFmaLane` ops — construction proof for every register run, and
+    // `match_tile` checked the operand run disjoint from the accumulators,
+    // as `fma_tile` requires.
     Box::new(move |regs, tens, loops, _scalars| unsafe {
         for ld in &loads {
             let idx = (ld.base + ld.coeff * *loops.get_unchecked(ld.slot)) as usize;
@@ -342,6 +419,9 @@ fn try_fuse_iteration<I: VectorIsa>(ops: &[VOp], i: usize) -> Option<(StepFn, us
 /// A lone tile (no leading loads) as its own closure.
 fn try_fuse_tile<I: VectorIsa>(ops: &[VOp], i: usize) -> Option<(StepFn, usize)> {
     let (tile, used) = match_tile(ops, i)?;
+    // SAFETY: construction proof for every register run of the tile's
+    // `VFmaLane` ops; `match_tile` checked the operand run disjoint from
+    // the accumulators, as `fma_tile` requires.
     let step: StepFn = Box::new(move |regs, _tens, _loops, _scalars| unsafe {
         I::fma_tile(regs, tile.dst, tile.a, tile.b, tile.lanes, tile.count);
     });

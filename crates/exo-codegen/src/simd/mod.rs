@@ -1,18 +1,15 @@
-//! Native SIMD execution: the superword tape lowered to per-architecture
+//! In-process execution: the superword IR lowered to per-architecture
 //! vector intrinsics through a pre-compiled chain of monomorphic closures.
 //!
-//! The superword backend of [`crate::superword`] already dispatches one
-//! whole vector register per op, but each op still runs through a `match`
-//! interpreter whose lane loops the compiler must re-vectorise from
-//! scratch on every dispatch — and in practice does not: `VFmaLane` spends
-//! its time in scalar multiply-then-add lane arithmetic. This module is
-//! the "last mile" the Exo paper delegates to a native compiler backend:
-//! the validated superword ops (`VLoad` / `VStore` / `VFmaLane` /
-//! `VFmaBcast`) are compiled **once per kernel** into a chain of
-//! monomorphic closures over native vector intrinsics:
+//! The superword IR of [`crate::superword`] re-rolls the scalar tape into
+//! whole-vector ops, but has no executor of its own. This module is the
+//! one in-process executor — the "last mile" the Exo paper delegates to a
+//! native compiler backend: the validated superword ops (`VLoad` /
+//! `VStore` / `VFmaLane` / `VFmaBcast`) are compiled **once per kernel**
+//! into a chain of monomorphic closures over one instruction library:
 //!
 //! * every closure carries its operands pre-resolved (register offsets,
-//!   the pre-compiled specialised address shapes of the superword tier) —
+//!   the pre-compiled specialised address shapes of the superword IR) —
 //!   no per-op decode survives to run time;
 //! * runs of isomorphic `VFmaLane` ops over one staged operand (the
 //!   accumulator tile of a laneq kernel) fuse into a single closure that
@@ -32,10 +29,10 @@
 //!   aarch64 (NEON is baseline): an 8-lane superword run re-rolls into a
 //!   pair of `float32x4_t` ops;
 //! * `scalar` — the 1-lane reference implementation, available
-//!   everywhere. Its multiply-then-add matches the superword tier's and
-//!   the interpreter's rounding **bit for bit**, and it also hosts the
-//!   checked reference executor every tier falls back to when the bounds
-//!   proof declines.
+//!   everywhere. Its multiply-then-add matches the interpreter's rounding
+//!   **bit for bit**; the chain compiled for it *is* the `superword` rung
+//!   of the execution ladder. It also hosts the checked reference
+//!   executor every chain falls back to when the bounds proof declines.
 //!
 //! [`active_isa`] picks the widest available implementation at process
 //! start ([`IsaKind::Avx2`] → [`IsaKind::Neon`] → [`IsaKind::Scalar`]);
@@ -45,19 +42,21 @@
 //! one process.
 //!
 //! **Selection and safety.** The closure chain runs bounds-free: it
-//! relies on exactly the proofs the superword backend already established
-//! — the construction-time register/loop-structure validation and the
-//! run-time affine-interval proof over the tensor addresses.
-//! [`SimdDispatch`] reuses the memoised proof of its inner
-//! [`SuperwordDispatch`], so steady-state micro-tile dispatch re-proves
-//! nothing; when the proof declines, execution falls back to the checked
-//! reference loop in the `scalar` module, which reports the first access
-//! that leaves its buffer.
+//! relies on exactly the proofs the superword IR carries — the
+//! construction-time register/loop-structure validation and the run-time
+//! affine-interval proof over the tensor addresses — plus `Rw` views for
+//! every written tensor. Every entry point funnels through one
+//! prove-then-run body, the only call site of the unchecked chain.
+//! [`SimdDispatch`] memoises the proof per distinct input, so
+//! steady-state micro-tile dispatch re-proves nothing; when the proof
+//! declines, execution falls back to the checked reference loop in the
+//! `scalar` module, which reports the first access that leaves its
+//! buffer.
 //!
 //! **Bit compatibility.** The native FMA intrinsics *contract* the
 //! multiply-then-add of the tape's `Fma` semantics into a single rounding,
-//! so the AVX2 and NEON chains are **not** bit-identical to the
-//! superword tier or the interpreter (they are at least as accurate: one
+//! so the AVX2 and NEON chains are **not** bit-identical to the scalar
+//! chain or the interpreter (they are at least as accurate: one
 //! rounding instead of two per multiply-add). The differential suites
 //! therefore compare those chains against the references within an
 //! accumulation-scaled ULP bound — `|simd − superword| ≤
@@ -71,7 +70,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::env::env_once;
 use crate::error::Result;
-use crate::superword::{ExecScratch, SuperwordDispatch, SuperwordKernel, TensorView};
+use crate::superword::{SuperwordKernel, TensorView};
 
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod aarch64;
@@ -241,7 +240,8 @@ pub enum IsaKind {
     /// re-roll into pairs).
     Neon,
     /// The portable 1-lane reference implementation: available on every
-    /// host, bit-identical to the superword tier and the interpreter.
+    /// host, bit-identical to the interpreter. Its chain is the
+    /// `superword` rung of the execution ladder.
     Scalar,
 }
 
@@ -380,11 +380,11 @@ pub fn fma_contraction_tol(k: usize) -> f32 {
 /// A kernel compiled to a chain of native vector closures.
 ///
 /// Obtained from [`SimdKernel::compile`] (the host's [`active_isa`]) or
-/// [`SimdKernel::compile_for`] (an explicit ISA). The fastest execution
+/// [`SimdKernel::compile_for`] (an explicit ISA). The fastest in-process
 /// tier; results of the native chains are within a documented ULP bound
-/// of the superword tier (FMA contraction), the scalar chain is
-/// bit-identical to it, and no chain is ever bit-different across runs or
-/// thread counts.
+/// of the scalar chain (FMA contraction), the scalar chain is
+/// bit-identical to the interpreter, and no chain is ever bit-different
+/// across runs or thread counts.
 pub struct SimdKernel {
     source: Arc<SuperwordKernel>,
     isa: IsaKind,
@@ -453,8 +453,8 @@ impl SimdKernel {
         Some(SimdKernel { source, isa, program, n_steps: stats.steps, n_fused_tiles: stats.fused_tiles })
     }
 
-    /// The superword kernel this chain was compiled from (also the
-    /// portable fallback and the owner of the shared proofs).
+    /// The superword kernel this chain was compiled from (the owner of
+    /// the proofs the chain runs under).
     pub fn source(&self) -> &Arc<SuperwordKernel> {
         &self.source
     }
@@ -489,25 +489,13 @@ impl SimdKernel {
     ///
     /// # Errors
     ///
-    /// Exactly [`SuperwordKernel::run_views`]'s:
-    /// [`crate::CodegenError::BadArguments`] on an argument mismatch, and
+    /// [`crate::CodegenError::BadArguments`] on an argument-count or kind
+    /// mismatch or a read-only view of a written tensor, and
     /// [`crate::CodegenError::OutOfBounds`] from the checked fallback when
     /// the interval proof declines and an access indeed leaves its buffer.
     pub fn run_views(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        self.source.validate_views(scalars, tensors)?;
-        let lens: Vec<usize> = tensors.iter().map(|t| t.as_slice().len()).collect();
         let mut scratch = ExecScratch::for_kernel(&self.source);
-        if self.source.bounds_provable(scalars, &lens) {
-            // SAFETY: the source kernel's construction proof covers every
-            // register operand and the loop structure; `bounds_provable`
-            // just certified every tensor access for these scalars and
-            // buffer lengths; `validate_views` guaranteed written tensors
-            // are `Rw`.
-            unsafe { self.exec_unchecked(scalars, tensors, &mut scratch) };
-            Ok(())
-        } else {
-            scalar::exec_checked(&self.source, scalars, tensors, &mut scratch)
-        }
+        self.run_proved(scalars, tensors, &mut Vec::new(), &mut scratch)
     }
 
     /// Runs the packed micro-kernel signature `(KC, Ac, Bc, C)`:
@@ -515,7 +503,9 @@ impl SimdKernel {
     ///
     /// # Errors
     ///
-    /// As [`SuperwordKernel::run_packed`].
+    /// [`crate::CodegenError::BadArguments`] if the kernel does not have
+    /// the one-scalar/three-tensor packed signature or writes its packed
+    /// operands; otherwise as [`Self::run_views`].
     pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
         self.source.check_packed_signature()?;
         self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
@@ -526,12 +516,55 @@ impl SimdKernel {
         SimdDispatch::new(Arc::clone(self))
     }
 
+    /// The one prove-then-run body behind every entry point: validate the
+    /// arguments, look up (or run and memoise in `proofs`) the interval
+    /// proof for these inputs, then run the chain bounds-free — or, when
+    /// the proof declines, the checked reference loop, which reports the
+    /// first access that leaves its buffer.
+    fn run_proved(
+        &self,
+        scalars: &[i64],
+        tensors: &mut [TensorView<'_>],
+        proofs: &mut Vec<ProofEntry>,
+        scratch: &mut ExecScratch,
+    ) -> Result<()> {
+        self.source.validate_views(scalars, tensors)?;
+        // The proof inputs: buffer lengths only (contents never affect
+        // addresses — the tape has no data-dependent control flow). The
+        // packed signature's three tensors stay on the stack.
+        let mut lens_stack = [0usize; 4];
+        let lens_heap: Vec<usize>;
+        let lens: &[usize] = if tensors.len() <= lens_stack.len() {
+            for (slot, t) in lens_stack.iter_mut().zip(tensors.iter()) {
+                *slot = t.as_slice().len();
+            }
+            &lens_stack[..tensors.len()]
+        } else {
+            lens_heap = tensors.iter().map(|t| t.as_slice().len()).collect();
+            &lens_heap
+        };
+        if provable(proofs, &self.source, scalars, lens) {
+            // SAFETY: the three obligations of `exec_unchecked` (and of the
+            // chain compiler's safety contract) hold. Construction proof:
+            // `to_superword` proved every register operand and the loop
+            // structure of the source kernel. Memoised interval proof:
+            // `provable` just certified (or recalled the certification of)
+            // every tensor access for these exact scalars and lengths. `Rw`
+            // views: `validate_views` above rejected read-only views of
+            // written tensors. Every caller sizes `scratch` for the source
+            // kernel.
+            unsafe { self.exec_unchecked(scalars, tensors, scratch) };
+            Ok(())
+        } else {
+            scalar::exec_checked(&self.source, scalars, tensors, scratch)
+        }
+    }
+
     /// Runs the pre-compiled chain with no checks.
     ///
     /// # Safety
     ///
-    /// Callers must have established the same three preconditions as
-    /// [`SuperwordKernel`]'s unsafe loop for the *source* kernel: the
+    /// Callers must have established, for the *source* kernel: the
     /// construction-time register/loop proof (always true), the interval
     /// proof for these exact scalars and tensor lengths, and `Rw` views
     /// for every written tensor. `scratch` must be sized for the source
@@ -544,8 +577,9 @@ impl SimdKernel {
     ) {
         scratch.regs.fill(0.0);
         let regs = scratch.regs.as_mut_ptr();
-        // Raw base pointers, exactly as the superword loop takes them: the
-        // `*mut` view of a read-only tensor is never written through.
+        // Raw base pointers: the `*mut` view of a read-only tensor is
+        // never written through (precondition three). The packed signature
+        // has three tensors, so the common case stays on the stack.
         let mut tens_stack = [std::ptr::null_mut::<f32>(); 4];
         let mut tens_heap: Vec<*mut f32> = Vec::new();
         let raw = |t: &mut TensorView<'_>| match t {
@@ -565,20 +599,66 @@ impl SimdKernel {
     }
 }
 
+/// Reusable execution state: the flat register file and the loop
+/// counter/bound tables, allocated once per [`SimdDispatch`] and shared by
+/// every run (the chain uses the counters, the checked reference loop the
+/// counters and bounds).
+#[derive(Debug, Clone)]
+pub(crate) struct ExecScratch {
+    pub(crate) regs: Vec<f32>,
+    pub(crate) loops: Vec<i64>,
+    pub(crate) bounds: Vec<i64>,
+}
+
+impl ExecScratch {
+    pub(crate) fn for_kernel(kernel: &SuperwordKernel) -> Self {
+        ExecScratch {
+            regs: vec![0.0; kernel.n_regs],
+            loops: vec![0; kernel.n_dyn_loops],
+            bounds: vec![0; kernel.n_dyn_loops],
+        }
+    }
+}
+
+/// One memoised run of the interval proof: the scalar arguments and buffer
+/// lengths it was run for, and its verdict.
+#[derive(Debug, Clone)]
+struct ProofEntry {
+    scalars: Vec<i64>,
+    lens: Vec<usize>,
+    provable: bool,
+}
+
+/// Looks up (or runs and memoises) the interval proof of `kernel` for one
+/// input tuple. A hit is one allocation-free scan of the memo.
+fn provable(proofs: &mut Vec<ProofEntry>, kernel: &SuperwordKernel, scalars: &[i64], lens: &[usize]) -> bool {
+    if let Some(entry) = proofs.iter().find(|p| p.scalars == scalars && p.lens == lens) {
+        return entry.provable;
+    }
+    let provable = kernel.bounds_provable(scalars, lens);
+    proofs.push(ProofEntry { scalars: scalars.to_vec(), lens: lens.to_vec(), provable });
+    provable
+}
+
 /// A prove-once dispatch handle for the SIMD tier: the per-worker reusable
 /// state of a [`SimdKernel`].
 ///
-/// Wraps a [`SuperwordDispatch`] over the source kernel and reuses its
-/// memoised affine-interval proof — one verdict per distinct
-/// `(scalars, buffer lengths)` tuple gates both the intrinsic chain and,
-/// when it declines, the checked reference fallback (identical error
-/// semantics). The handle owns its register file and loop tables, so
-/// steady-state dispatch allocates nothing; create one per worker thread
-/// (it is `Send`) and reuse it for every micro-tile.
+/// [`SimdKernel::run_views`] re-runs the (cheap, `O(ops)`) interval proof
+/// and re-allocates its register file on **every** call, even though a
+/// GEMM driver dispatches the same kernel thousands of times per problem
+/// with only a couple of distinct proof inputs (`KC` full vs. fringe, and
+/// the matching buffer lengths). A `SimdDispatch` memoises the proof
+/// verdict per distinct `(scalars, buffer lengths)` tuple — one verdict
+/// gates both the chain and, when it declines, the checked reference
+/// fallback (identical error semantics) — and owns one register file and
+/// loop table, so steady-state dispatch allocates nothing and re-proves
+/// nothing. Results are bit-for-bit identical to the one-shot entry
+/// points. Create one per worker thread (it is `Send`) and reuse it for
+/// every micro-tile.
 #[derive(Debug, Clone)]
 pub struct SimdDispatch {
     kernel: Arc<SimdKernel>,
-    fallback: SuperwordDispatch,
+    proofs: Vec<ProofEntry>,
     scratch: ExecScratch,
 }
 
@@ -586,30 +666,25 @@ impl SimdDispatch {
     /// Creates a dispatch handle, allocating the register file and loop
     /// tables up front.
     pub fn new(kernel: Arc<SimdKernel>) -> Self {
-        let fallback = SuperwordDispatch::new(Arc::clone(kernel.source()));
         let scratch = ExecScratch::for_kernel(kernel.source());
-        SimdDispatch { kernel, fallback, scratch }
-    }
-
-    /// The compiled chain this handle dispatches.
-    pub fn kernel(&self) -> &SimdKernel {
-        &self.kernel
+        SimdDispatch { kernel, proofs: Vec::new(), scratch }
     }
 
     /// How many distinct `(scalars, buffer lengths)` proof inputs have
-    /// been memoised so far (shared with the superword fallback).
+    /// been memoised so far. A well-blocked GEMM sees only a handful.
     pub fn memoised_proofs(&self) -> usize {
-        self.fallback.memoised_proofs()
+        self.proofs.len()
     }
 
     /// Whether a packed call with these operand lengths passes the
     /// memoised affine-interval bounds proof. The native (`exo-aot`)
     /// dispatch consults this before handing the call to the compiled C
     /// kernel, which has no bounds checks of its own; a `false` answer
-    /// routes the call to this handle's checked tiers instead.
+    /// routes the call to this handle's checked fallback instead.
     pub fn packed_provable(&mut self, kc: usize, ac_len: usize, bc_len: usize, c_len: usize) -> bool {
-        self.kernel.source().check_packed_signature().is_ok()
-            && self.fallback.provable(&[kc as i64], &[ac_len, bc_len, c_len])
+        let source = self.kernel.source();
+        source.check_packed_signature().is_ok()
+            && provable(&mut self.proofs, source, &[kc as i64], &[ac_len, bc_len, c_len])
     }
 
     /// Runs the chain over borrowed tensor views, reusing the memoised
@@ -619,38 +694,8 @@ impl SimdDispatch {
     ///
     /// As [`SimdKernel::run_views`].
     pub fn run_views(&mut self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        self.kernel.source().validate_views(scalars, tensors)?;
-        let mut lens_stack = [0usize; 4];
-        if tensors.len() > lens_stack.len() {
-            let lens: Vec<usize> = tensors.iter().map(|t| t.as_slice().len()).collect();
-            return self.run_proved(scalars, tensors, &lens);
-        }
-        for (slot, t) in lens_stack.iter_mut().zip(tensors.iter()) {
-            *slot = t.as_slice().len();
-        }
-        let n = tensors.len();
-        let lens = lens_stack;
-        self.run_proved(scalars, tensors, &lens[..n])
-    }
-
-    fn run_proved(&mut self, scalars: &[i64], tensors: &mut [TensorView<'_>], lens: &[usize]) -> Result<()> {
-        // Disjoint field borrows: the kernel is read-only while the
-        // fallback's proof memo and this handle's scratch are mutated — no
-        // per-dispatch Arc traffic on the hot path.
-        let SimdDispatch { kernel, fallback, scratch } = self;
-        if fallback.provable(scalars, lens) {
-            // SAFETY: construction proof of the source kernel, the (memoised)
-            // interval proof for these exact inputs, and the `Rw` check in
-            // `validate_views` — the same three obligations as the superword
-            // unsafe loop.
-            unsafe { kernel.exec_unchecked(scalars, tensors, scratch) };
-            Ok(())
-        } else {
-            // Declined proof: the checked reference loop, which reports
-            // the first out-of-bounds access (and memoised the declined
-            // verdict, so retries go straight here).
-            fallback.run_views(scalars, tensors)
-        }
+        let SimdDispatch { kernel, proofs, scratch } = self;
+        kernel.run_proved(scalars, tensors, proofs, scratch)
     }
 
     /// Runs the packed `(KC, Ac, Bc, C)` micro-kernel signature through
@@ -669,7 +714,8 @@ impl SimdDispatch {
 mod tests {
     use super::*;
     use crate::error::CodegenError;
-    use crate::exec::compile as compile_proc;
+    use crate::exec::{compile as compile_proc, CompiledKernel, RunArg};
+    use crate::superword::tests::{bcast_proc, interp_packed, oob_proc, staged_kernels as staged_superword};
     use exo_ir::builder::*;
     use exo_ir::{Expr, MemSpace, ScalarType};
 
@@ -687,89 +733,15 @@ mod tests {
         IsaKind::ALL.iter().copied().filter(|isa| isa.available()).collect()
     }
 
-    /// The laneq-shaped staged 8x4 kernel of the superword tests: the tape
+    /// The staged 8x4 laneq kernel of the superword tests (the tape
     /// scalarises its staged tiles into exactly the lane runs the chain
-    /// compiler fuses.
-    fn staged_kernels() -> (Arc<SuperwordKernel>, SimdKernel) {
-        let (mr, nr) = (8i64, 4i64);
-        let p = proc("ukr_8x4_staged")
-            .size_arg("KC")
-            .tensor_arg("Ac", ScalarType::F32, vec![var("KC"), int(mr)], MemSpace::Dram)
-            .tensor_arg("Bc", ScalarType::F32, vec![var("KC"), int(nr)], MemSpace::Dram)
-            .tensor_arg("C", ScalarType::F32, vec![int(nr * mr)], MemSpace::Dram)
-            .body(vec![
-                alloc("Ct", ScalarType::F32, vec![int(nr), int(mr)], MemSpace::Neon),
-                alloc("Ra", ScalarType::F32, vec![int(mr)], MemSpace::Neon),
-                alloc("Rb", ScalarType::F32, vec![int(nr)], MemSpace::Neon),
-                for_(
-                    "j",
-                    0,
-                    nr,
-                    vec![for_(
-                        "i",
-                        0,
-                        mr,
-                        vec![assign(
-                            "Ct",
-                            vec![var("j"), var("i")],
-                            read("C", vec![Expr::add(Expr::mul(var("j"), int(mr)), var("i"))]),
-                        )],
-                    )],
-                ),
-                for_(
-                    "k",
-                    0,
-                    var("KC"),
-                    vec![
-                        for_(
-                            "i",
-                            0,
-                            mr,
-                            vec![assign("Ra", vec![var("i")], read("Ac", vec![var("k"), var("i")]))],
-                        ),
-                        for_(
-                            "j",
-                            0,
-                            nr,
-                            vec![assign("Rb", vec![var("j")], read("Bc", vec![var("k"), var("j")]))],
-                        ),
-                        for_(
-                            "j",
-                            0,
-                            nr,
-                            vec![for_(
-                                "i",
-                                0,
-                                mr,
-                                vec![reduce(
-                                    "Ct",
-                                    vec![var("j"), var("i")],
-                                    Expr::mul(read("Ra", vec![var("i")]), read("Rb", vec![var("j")])),
-                                )],
-                            )],
-                        ),
-                    ],
-                ),
-                for_(
-                    "j",
-                    0,
-                    nr,
-                    vec![for_(
-                        "i",
-                        0,
-                        mr,
-                        vec![assign(
-                            "C",
-                            vec![Expr::add(Expr::mul(var("j"), int(mr)), var("i"))],
-                            read("Ct", vec![var("j"), var("i")]),
-                        )],
-                    )],
-                ),
-            ])
-            .build();
-        let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
+    /// compiler fuses), compiled for the active ISA, with its interpreter
+    /// oracle.
+    fn staged_kernels() -> (CompiledKernel, Arc<SuperwordKernel>, SimdKernel) {
+        let (compiled, _, sw) = staged_superword();
+        let sw = Arc::new(sw);
         let simd = SimdKernel::compile(Arc::clone(&sw)).expect("the scalar floor always compiles");
-        (sw, simd)
+        (compiled, sw, simd)
     }
 
     #[test]
@@ -812,7 +784,7 @@ mod tests {
 
     #[test]
     fn simd_matches_superword_within_the_fma_bound_and_fuses_tiles() {
-        let (sw, simd) = staged_kernels();
+        let (compiled, _, simd) = staged_kernels();
         assert_eq!(simd.isa(), active_isa());
         assert!(simd.fused_tile_count() > 0, "the staged kernel's FMA runs must fuse: {simd:?}");
         assert!(simd.step_count() > 0);
@@ -822,7 +794,7 @@ mod tests {
             let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.25 - 1.0).collect();
             let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32 * 0.5).collect();
             let mut c_sw = c0.clone();
-            sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+            interp_packed(&compiled, kc, &a, &b, &mut c_sw);
             let mut c_simd = c0.clone();
             simd.run_packed(kc, &a, &b, &mut c_simd).unwrap();
             assert_close(&c_simd, &c_sw, kc, &format!("kc={kc}"));
@@ -834,7 +806,7 @@ mod tests {
 
     #[test]
     fn every_available_isa_compiles_the_staged_kernel_and_the_scalar_chain_is_bit_exact() {
-        let (sw, _) = staged_kernels();
+        let (compiled, sw, _) = staged_kernels();
         let (mr, nr) = (8usize, 4usize);
         for isa in available_isas() {
             let chain = SimdKernel::compile_for(Arc::clone(&sw), isa)
@@ -846,7 +818,7 @@ mod tests {
                 let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.25 - 1.0).collect();
                 let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32 * 0.5).collect();
                 let mut c_sw = c0.clone();
-                sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+                interp_packed(&compiled, kc, &a, &b, &mut c_sw);
                 let mut c_chain = c0.clone();
                 chain.run_packed(kc, &a, &b, &mut c_chain).unwrap();
                 if isa.contracts_fma() {
@@ -860,7 +832,7 @@ mod tests {
 
     #[test]
     fn compile_for_an_unavailable_isa_returns_none() {
-        let (sw, _) = staged_kernels();
+        let (_, sw, _) = staged_kernels();
         for isa in IsaKind::ALL {
             if !isa.available() {
                 assert!(SimdKernel::compile_for(Arc::clone(&sw), isa).is_none());
@@ -874,13 +846,14 @@ mod tests {
         // the chain degenerates to scalar closures and must still agree.
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
         let p = exo_sched::partial_eval(&p, &[4, 4]).unwrap();
-        let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
+        let compiled = compile_proc(&p).unwrap();
+        let sw = Arc::new(compiled.to_superword().unwrap());
         let kc = 13usize;
         let a: Vec<f32> = (0..kc * 4).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
         let b: Vec<f32> = (0..kc * 4).map(|i| (i % 5) as f32 * 0.5 - 1.0).collect();
         let c0: Vec<f32> = (0..16).map(|i| i as f32 * 0.125).collect();
         let mut c_sw = c0.clone();
-        sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+        interp_packed(&compiled, kc, &a, &b, &mut c_sw);
         for isa in available_isas() {
             let simd = SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap();
             let mut c_simd = c0.clone();
@@ -889,27 +862,7 @@ mod tests {
         }
 
         // A broadcast-from-memory FMA (VFmaBcast) shape.
-        let p = proc("bcast")
-            .tensor_arg("x", ScalarType::F32, vec![int(4)], MemSpace::Dram)
-            .tensor_arg("s", ScalarType::F32, vec![int(1)], MemSpace::Dram)
-            .tensor_arg("y", ScalarType::F32, vec![int(4)], MemSpace::Dram)
-            .body(vec![
-                alloc("acc", ScalarType::F32, vec![int(4)], MemSpace::Neon),
-                alloc("r", ScalarType::F32, vec![int(4)], MemSpace::Neon),
-                for_("i", 0, 4, vec![assign("r", vec![var("i")], read("x", vec![var("i")]))]),
-                for_(
-                    "i",
-                    0,
-                    4,
-                    vec![reduce(
-                        "acc",
-                        vec![var("i")],
-                        Expr::mul(read("r", vec![var("i")]), read("s", vec![int(0)])),
-                    )],
-                ),
-                for_("i", 0, 4, vec![assign("y", vec![var("i")], read("acc", vec![var("i")]))]),
-            ])
-            .build();
+        let p = bcast_proc();
         let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
         for isa in available_isas() {
             let simd = SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap();
@@ -952,10 +905,13 @@ mod tests {
                 )],
             )])
             .build();
-        let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
+        let compiled = compile_proc(&p).unwrap();
+        let sw = Arc::new(compiled.to_superword().unwrap());
         let (n, m) = (3usize, 5usize);
         let mut want = vec![-1.0f32; n * 8];
-        sw.run_views(&[n as i64, m as i64], &mut [TensorView::Rw(&mut want)]).unwrap();
+        compiled
+            .run(&mut [RunArg::Size(n as i64), RunArg::Size(m as i64), RunArg::Tensor(&mut want)])
+            .unwrap();
         for isa in available_isas() {
             let simd = SimdKernel::compile_for(Arc::clone(&sw), isa)
                 .expect("nested dynamic loops must not decline chain compilation");
@@ -969,11 +925,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_falls_back_to_the_checked_loop_with_identical_errors() {
-        let p = proc("oob")
-            .size_arg("N")
-            .tensor_arg("x", ScalarType::F32, vec![var("N")], MemSpace::Dram)
-            .body(vec![for_("i", 0, var("N"), vec![assign("x", vec![var("i")], flt(1.0))])])
-            .build();
+        let p = oob_proc();
         let sw = Arc::new(compile_proc(&p).unwrap().to_superword().unwrap());
         for isa in available_isas() {
             let simd = Arc::new(SimdKernel::compile_for(Arc::clone(&sw), isa).unwrap());
@@ -1005,7 +957,7 @@ mod tests {
 
     #[test]
     fn dispatch_handle_matches_one_shot_runs_and_memoises_proofs() {
-        let (_, simd) = staged_kernels();
+        let (_, _, simd) = staged_kernels();
         let simd = Arc::new(simd);
         let mut dispatch = simd.dispatcher();
         let (mr, nr) = (8usize, 4usize);

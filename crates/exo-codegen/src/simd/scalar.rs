@@ -3,25 +3,26 @@
 //! proof declines.
 //!
 //! One lane, plain `a * b + acc` multiply-then-add — **two** roundings,
-//! exactly the arithmetic of the superword tier and the interpreter, so
-//! a chain compiled for [`ScalarIsa`] is bit-identical to them (the
-//! differential suites assert equality, not a tolerance). It is available
-//! on every host, which makes it the floor of the runtime ISA selection:
-//! `SimdKernel::compile` never fails for a generated kernel, and
-//! `EXO_ISA=scalar` pins the whole native tier to this implementation —
-//! same closure chains, same fusion, reference rounding.
+//! exactly the arithmetic of the interpreter, so a chain compiled for
+//! [`ScalarIsa`] is bit-identical to it (the differential suites assert
+//! equality, not a tolerance). That chain is the `superword` rung of the
+//! execution ladder. It is available on every host, which makes it the
+//! floor of the runtime ISA selection: `SimdKernel::compile` never fails
+//! for a generated kernel, and `EXO_ISA=scalar` pins the whole native
+//! tier to this implementation — same closure chains, same fusion,
+//! reference rounding.
 //!
 //! [`exec_checked`] is the other half of the reference story: the
 //! one-lane-at-a-time checked loop with the scalar tape's op order and
 //! rounding, reporting the first access that leaves its buffer after the
-//! partial stores before it. The superword tier and every SIMD chain route
-//! their declined-proof path here.
+//! partial stores before it. Every chain routes its declined-proof path
+//! here.
 
 use crate::error::{CodegenError, Result};
-use crate::superword::{ExecScratch, SuperwordKernel, TensorView, VOp};
+use crate::superword::{SuperwordKernel, TensorView, VOp};
 use crate::tape::TOp;
 
-use super::VectorIsa;
+use super::{ExecScratch, VectorIsa};
 
 /// The portable one-lane reference implementation: `Vector = f32`,
 /// multiply-then-add rounding, available everywhere.
@@ -72,10 +73,9 @@ impl VectorIsa for ScalarIsa {
 
 /// The fully checked reference executor, taken when the interval proof
 /// declines: identical semantics (op order, rounding, and errors) to the
-/// scalar tape, one lane at a time inside the packed ops. Shared by the
-/// superword tier and the SIMD chains, whose declined-proof paths must
-/// report the same errors — including the stores already performed when
-/// an access faults.
+/// scalar tape, one lane at a time inside the packed ops. Shared by every
+/// chain, whose declined-proof paths must report the same errors —
+/// including the stores already performed when an access faults.
 ///
 /// # Errors
 ///

@@ -1,15 +1,12 @@
-//! Superword execution: whole-vector tape ops, one vector register per
-//! dispatch.
+//! Superword lowering: whole-vector tape ops, one vector register per op.
 //!
 //! The scalar tape of [`crate::tape`] already erased the expression trees,
 //! but it still *scalarises* the kernel's vector instructions: a
 //! `vld1q_f32` becomes four `LoadT` ops, a `vfmaq_laneq_f32` four `Fma`
-//! ops, and every one of them pays a dispatch, a register bounds check and
-//! a tensor bounds check. This module closes that gap with a classic
+//! ops. This module re-rolls them with a classic
 //! superword-level-parallelism (SLP) pass over the scalar tape: runs of
 //! isomorphic lane ops over consecutive registers and consecutive affine
-//! addresses are re-rolled into whole-vector ops that execute an entire
-//! vector register per dispatch —
+//! addresses become whole-vector ops —
 //!
 //! * `VLoad` / `VStore` — `lanes` contiguous elements moved between a
 //!   tensor and a lane-aligned run of the register file (the tape's local
@@ -21,33 +18,38 @@
 //!   scalar tape's repeated `[LoadT rhs; Fma]` pairs collapse into one
 //!   load plus a vector FMA.
 //!
+//! A [`SuperwordKernel`] is IR plus proofs; it has no executor of its own.
+//! Every tier is compiled from it: the in-process chains of [`crate::simd`]
+//! (the `superword` rung of the ladder is the chain compiled for
+//! [`crate::IsaKind::Scalar`]) and the native C of
+//! [`crate::c::emit_superword_c`].
+//!
 //! **Validated construction.** [`TapeKernel::to_superword`] proves, at
 //! construction time, that every register operand (including the full
 //! `dst..dst+lanes` runs) stays inside the register file, that the loop
 //! structure is well formed, and that no packed op's scalar operand is
 //! clobbered by its own accumulator writes. At run time, a single exact
 //! interval analysis over the (affine) addresses and the dynamic-loop
-//! bounds proves every tensor access in bounds *before* the tape starts —
-//! which unlocks an `unsafe` bounds-free dispatch loop behind the safe
-//! [`SuperwordKernel::run_views`] API. When the proof does not go through
-//! (an address that could leave its buffer), execution transparently falls
-//! back to a fully checked loop that performs the scalar tape's ops one by
-//! one and reports the first access that leaves its buffer.
+//! bounds proves every tensor access in bounds *before* a call starts —
+//! the two proofs every bounds-free executor compiled from this IR rests
+//! on. When the run-time proof does not go through, execution falls back
+//! to the checked reference loop (`simd::scalar::exec_checked`), which
+//! reports the first access that leaves its buffer.
 //!
 //! Packing preserves the scalar tape's exact op order within each packed
 //! group (lanes execute in ascending order, multiplication commutes
-//! bitwise), so the superword backend is **bit-for-bit** equal to the
-//! tree-walking interpreter ([`CompiledKernel::run`], the test oracle);
-//! the differential suite in `tests/tape_exec.rs` asserts this across
-//! every registry shape.
+//! bitwise), so the scalar chain compiled from this IR is **bit-for-bit**
+//! equal to the tree-walking interpreter ([`CompiledKernel::run`], the
+//! test oracle); the differential suite in `tests/tape_exec.rs` asserts
+//! this across every registry shape.
 
 use crate::error::{CodegenError, Result};
-use crate::exec::{CompiledKernel, ParamKind, RunArg};
+use crate::exec::{CompiledKernel, ParamKind};
 use crate::tape::{Addr, TOp, TapeKernel, Term};
 
-/// A borrowed tensor argument for [`SuperwordKernel::run_views`]:
-/// read-only operands avoid the copies the [`RunArg`] interface forces on
-/// callers.
+/// A borrowed tensor argument for [`crate::SimdKernel::run_views`]:
+/// read-only operands avoid the copies the [`crate::RunArg`] interface
+/// forces on callers.
 #[derive(Debug)]
 pub enum TensorView<'a> {
     /// A tensor the kernel only reads.
@@ -179,12 +181,13 @@ pub(crate) enum VOp {
     LoopEnd { slot: u16, begin: u32 },
 }
 
-/// A kernel lowered to whole-vector superword ops.
+/// A kernel lowered to whole-vector superword ops: the validated IR every
+/// execution tier is compiled from.
 ///
 /// Obtained from [`TapeKernel::to_superword`] (or
-/// [`CompiledKernel::to_superword`]). Computes bit-for-bit the same result
-/// as the interpreter, dispatching one vector register per op instead of
-/// one lane.
+/// [`CompiledKernel::to_superword`]). Run it through a chain compiled by
+/// [`crate::SimdKernel::compile_for`]; the [`crate::IsaKind::Scalar`]
+/// chain computes bit-for-bit the same result as the interpreter.
 #[derive(Debug, Clone)]
 pub struct SuperwordKernel {
     /// Name of the source procedure.
@@ -531,8 +534,8 @@ fn addr_interval(a: &Addr, iv: &[(i64, i64)], scalars: &[i64]) -> (i64, i64) {
 
 impl TapeKernel {
     /// Lowers this scalar tape to a [`SuperwordKernel`] via the superword
-    /// packing pass, proving the register-file obligations of the unsafe
-    /// dispatch loop at construction time.
+    /// packing pass, proving the register-file obligations of the
+    /// bounds-free executors at construction time.
     ///
     /// # Errors
     ///
@@ -581,16 +584,6 @@ impl CompiledKernel {
 }
 
 impl SuperwordKernel {
-    /// Number of parameters (scalar and tensor) the kernel expects.
-    pub fn param_count(&self) -> usize {
-        self.params.len()
-    }
-
-    /// Parameter names in signature order.
-    pub fn param_names(&self) -> Vec<&str> {
-        self.params.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
     /// Number of ops on the superword tape (packed ops count once).
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -622,56 +615,8 @@ impl SuperwordKernel {
         self.tensor_written.get(idx).copied().unwrap_or(false)
     }
 
-    /// Runs the superword tape through the same argument interface as
-    /// [`CompiledKernel::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError::BadArguments`] on an argument-count or kind
-    /// mismatch and [`CodegenError::OutOfBounds`] if an access leaves its
-    /// buffer.
-    pub fn run(&self, args: &mut [RunArg<'_>]) -> Result<()> {
-        if args.len() != self.params.len() {
-            return Err(CodegenError::BadArguments {
-                reason: format!(
-                    "superword kernel `{}` expects {} arguments, got {}",
-                    self.name,
-                    self.params.len(),
-                    args.len()
-                ),
-            });
-        }
-        let mut scalars = Vec::new();
-        let mut tensors: Vec<TensorView<'_>> = Vec::new();
-        for ((name, kind), arg) in self.params.iter().zip(args.iter_mut()) {
-            match (kind, arg) {
-                (ParamKind::Scalar, RunArg::Size(v)) => scalars.push(*v),
-                (ParamKind::Tensor, RunArg::Tensor(t)) => tensors.push(TensorView::Rw(t)),
-                _ => {
-                    return Err(CodegenError::BadArguments {
-                        reason: format!("argument `{name}` has the wrong kind"),
-                    })
-                }
-            }
-        }
-        self.exec(&scalars, &mut tensors)
-    }
-
-    /// Runs the superword tape over borrowed tensor views.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError::BadArguments`] if the counts do not match or
-    /// a read-only view is passed for a tensor the tape writes, and
-    /// [`CodegenError::OutOfBounds`] for accesses that leave a buffer.
-    pub fn run_views(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        self.validate_views(scalars, tensors)?;
-        self.exec(scalars, tensors)
-    }
-
-    /// The argument validation shared by the one-shot entry points, the
-    /// prove-once [`SuperwordDispatch`] handle, and the SIMD tier built on
-    /// top of this kernel ([`crate::simd`]).
+    /// The argument validation of every entry point of the chains compiled
+    /// from this kernel ([`crate::simd`]).
     pub(crate) fn validate_views(&self, scalars: &[i64], tensors: &[TensorView<'_>]) -> Result<()> {
         let n_scalars = self.params.iter().filter(|(_, k)| *k == ParamKind::Scalar).count();
         let n_tensors = self.params.len() - n_scalars;
@@ -713,8 +658,8 @@ impl SuperwordKernel {
         Ok(())
     }
 
-    /// Whether a packed call `run_packed(kc, ac, bc, c)` with operands of
-    /// the given lengths would take the proven bounds-free path: the
+    /// Whether a packed `(KC, Ac, Bc, C)` call with operands of the given
+    /// lengths would take the proven bounds-free path: the
     /// kernel has the packed signature and the affine interval analysis
     /// proves every tensor access in bounds. The native (`exo-aot`) tier
     /// uses this as its dispatch guard — the compiled C kernel has no
@@ -739,74 +684,15 @@ impl SuperwordKernel {
         // saturated interval): refuse rather than allocate gigabytes.
         const MAX_PROBE_LEN: i64 = 1 << 24;
         self.check_packed_signature().ok()?;
-        let scalars = [kc as i64];
-        let mut iv: Vec<(i64, i64)> = vec![(0, 0); self.n_dyn_loops];
         let mut ends = [0i64; 3];
-        let reach = |(lo, hi): (i64, i64), span: u32| -> Option<i64> {
-            let end = hi.saturating_add(i64::from(span));
-            (lo >= 0 && end <= MAX_PROBE_LEN).then_some(end)
-        };
-        let mut pc = 0usize;
-        while pc < self.ops.len() {
-            let touched: Option<(u16, i64)> = match &self.ops[pc] {
-                VOp::Scalar(TOp::LoadT { buf, addr, .. }) | VOp::Scalar(TOp::StoreT { buf, addr, .. }) => {
-                    Some((*buf, reach(addr_interval(addr, &iv, &scalars), 1)?))
-                }
-                VOp::VFmaBcast { buf, addr, .. } => Some((*buf, reach(addr.interval(&iv, &scalars), 1)?)),
-                VOp::VLoad { buf, addr, lanes, .. } | VOp::VStore { buf, addr, lanes, .. } => {
-                    Some((*buf, reach(addr.interval(&iv, &scalars), *lanes)?))
-                }
-                VOp::LoopBegin { slot, lo, hi, end } => {
-                    let (lo_min, _) = lo.interval(&iv, &scalars);
-                    let (_, hi_max) = hi.interval(&iv, &scalars);
-                    if hi_max.saturating_sub(1) < lo_min {
-                        // The loop never executes for any outer
-                        // assignment: its body touches nothing.
-                        pc = *end as usize;
-                        continue;
-                    }
-                    iv[*slot as usize] = (lo_min, hi_max - 1);
-                    None
-                }
-                _ => None,
-            };
-            if let Some((buf, end)) = touched {
-                let slot = ends.get_mut(buf as usize)?;
+        let probed = self.for_each_access(&[kc as i64], |buf, lo, end| match ends.get_mut(buf as usize) {
+            Some(slot) if lo >= 0 && end <= MAX_PROBE_LEN => {
                 *slot = (*slot).max(end);
+                true
             }
-            pc += 1;
-        }
-        Some((ends[0] as usize, ends[1] as usize, ends[2] as usize))
-    }
-
-    /// Runs a packed micro-kernel signature `(KC, Ac, Bc, C)`:
-    /// `c[nr][mr] += ac[kc][mr] * bc[kc][nr]` without copying the operands.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError::BadArguments`] if the kernel does not have
-    /// the one-scalar/three-tensor packed signature or writes its packed
-    /// operands, and propagates execution errors.
-    pub fn run_packed(&self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.check_packed_signature()?;
-        self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
-    }
-
-    fn exec(&self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        let mut scratch = ExecScratch::for_kernel(self);
-        let lens: Vec<usize> = tensors.iter().map(|t| t.as_slice().len()).collect();
-        if self.bounds_provable(scalars, &lens) {
-            // SAFETY: `validate_construction` proved every register operand
-            // in range and the loop structure well formed;
-            // `bounds_provable` just proved every tensor access in bounds
-            // for these scalars and buffer lengths; and the written-tensor
-            // check in `run_views`/`run` guarantees stores only target
-            // mutably borrowed views.
-            unsafe { self.exec_unchecked(scalars, tensors, &mut scratch) };
-            Ok(())
-        } else {
-            crate::simd::scalar::exec_checked(self, scalars, tensors, &mut scratch)
-        }
+            _ => false,
+        });
+        probed.then_some((ends[0] as usize, ends[1] as usize, ends[2] as usize))
     }
 
     /// The runtime half of the validation proof: an exact interval analysis
@@ -815,359 +701,59 @@ impl SuperwordKernel {
     /// loop's range — the interval bound is not an approximation unless a
     /// loop bound itself depends on an outer loop (where it degrades to a
     /// safe over-approximation and execution falls back to the checked
-    /// loop).
+    /// reference loop).
     pub(crate) fn bounds_provable(&self, scalars: &[i64], lens: &[usize]) -> bool {
+        self.for_each_access(scalars, |buf, lo, end| lo >= 0 && end <= lens[buf as usize] as i64)
+    }
+
+    /// The interval walk behind both proofs: calls `visit(buf, lo, end)`
+    /// with the index range `lo..end` every tensor access can touch, over
+    /// the counter intervals of its enclosing loops (saturating, so
+    /// overflow only widens a range), and skips the bodies of loops that
+    /// never execute. Stops with `false` as soon as `visit` does.
+    fn for_each_access(&self, scalars: &[i64], mut visit: impl FnMut(u16, i64, i64) -> bool) -> bool {
         let mut iv: Vec<(i64, i64)> = vec![(0, 0); self.n_dyn_loops];
-        let in_bounds = |lo: i64, hi: i64, span: u32, buf: u16| -> bool {
-            lo >= 0 && hi.saturating_add(i64::from(span) - 1) < lens[buf as usize] as i64
-        };
-        let check = |a: &SAddr, span: u32, iv: &[(i64, i64)], buf: u16| -> bool {
-            let (lo, hi) = a.interval(iv, scalars);
-            in_bounds(lo, hi, span, buf)
-        };
-        let check_addr = |a: &Addr, iv: &[(i64, i64)], buf: u16| -> bool {
-            let (lo, hi) = addr_interval(a, iv, scalars);
-            in_bounds(lo, hi, 1, buf)
-        };
         let mut pc = 0usize;
         while pc < self.ops.len() {
-            match &self.ops[pc] {
-                VOp::Scalar(TOp::LoadT { buf, addr, .. }) | VOp::Scalar(TOp::StoreT { buf, addr, .. })
-                    if !check_addr(addr, &iv, *buf) =>
-                {
-                    return false;
+            let access = match &self.ops[pc] {
+                VOp::Scalar(TOp::LoadT { buf, addr, .. }) | VOp::Scalar(TOp::StoreT { buf, addr, .. }) => {
+                    Some((*buf, addr_interval(addr, &iv, scalars), 1))
                 }
-                VOp::VFmaBcast { buf, addr, .. } if !check(addr, 1, &iv, *buf) => {
-                    return false;
-                }
-                VOp::VLoad { buf, addr, lanes, .. } | VOp::VStore { buf, addr, lanes, .. }
-                    if !check(addr, *lanes, &iv, *buf) =>
-                {
-                    return false;
+                VOp::VFmaBcast { buf, addr, .. } => Some((*buf, addr.interval(&iv, scalars), 1)),
+                VOp::VLoad { buf, addr, lanes, .. } | VOp::VStore { buf, addr, lanes, .. } => {
+                    Some((*buf, addr.interval(&iv, scalars), *lanes))
                 }
                 VOp::LoopBegin { slot, lo, hi, end } => {
                     let (lo_min, _) = lo.interval(&iv, scalars);
                     let (_, hi_max) = hi.interval(&iv, scalars);
                     if hi_max.saturating_sub(1) < lo_min {
                         // The loop never executes for any outer assignment:
-                        // skip its body entirely.
+                        // its body touches nothing.
                         pc = *end as usize;
                         continue;
                     }
                     iv[*slot as usize] = (lo_min, hi_max - 1);
+                    None
                 }
-                _ => {}
+                _ => None,
+            };
+            if let Some((buf, (lo, hi), span)) = access {
+                if !visit(buf, lo, hi.saturating_add(i64::from(span))) {
+                    return false;
+                }
             }
             pc += 1;
         }
         true
     }
-
-    /// The bounds-free dispatch loop.
-    ///
-    /// # Safety
-    ///
-    /// Callers must have established (a) the construction-time register and
-    /// loop-structure proof (always true for a [`SuperwordKernel`], checked
-    /// in `to_superword`), (b) `bounds_provable` for these exact scalars
-    /// and tensor lengths, and (c) that every tensor the tape writes is a
-    /// [`TensorView::Rw`]. `scratch` must be sized for this kernel
-    /// ([`ExecScratch::for_kernel`]).
-    unsafe fn exec_unchecked(
-        &self,
-        scalars: &[i64],
-        tensors: &mut [TensorView<'_>],
-        scratch: &mut ExecScratch,
-    ) {
-        // The register file starts at zero on every run, exactly like the
-        // interpreter's freshly allocated locals; loop slots are always written
-        // by their `LoopBegin` before being read.
-        scratch.regs.fill(0.0);
-        let ExecScratch { regs, loops, bounds } = scratch;
-        let (regs, loops, bounds) = (regs.as_mut_slice(), loops.as_mut_slice(), bounds.as_mut_slice());
-        // Raw base pointers; the `*mut` view of a read-only tensor is never
-        // written through (precondition (c)). The packed micro-kernel
-        // signature has three tensors, so the common case stays on the
-        // stack instead of allocating per dispatch.
-        let mut tens_stack = [std::ptr::null_mut::<f32>(); 4];
-        let mut tens_heap: Vec<*mut f32> = Vec::new();
-        let raw = |t: &mut TensorView<'_>| match t {
-            TensorView::Ro(s) => s.as_ptr().cast_mut(),
-            TensorView::Rw(s) => s.as_mut_ptr(),
-        };
-        let tens: &[*mut f32] = if tensors.len() <= tens_stack.len() {
-            for (slot, t) in tens_stack.iter_mut().zip(tensors.iter_mut()) {
-                *slot = raw(t);
-            }
-            &tens_stack[..tensors.len()]
-        } else {
-            tens_heap.extend(tensors.iter_mut().map(raw));
-            &tens_heap
-        };
-        let ops = &self.ops;
-        let mut pc = 0usize;
-        while pc < ops.len() {
-            match ops.get_unchecked(pc) {
-                VOp::VFmaLane { dst, a, b, lanes } => {
-                    let bval = *regs.get_unchecked(*b as usize);
-                    let (dst, a) = (*dst as usize, *a as usize);
-                    for i in 0..*lanes as usize {
-                        let av = *regs.get_unchecked(a + i);
-                        *regs.get_unchecked_mut(dst + i) += av * bval;
-                    }
-                }
-                VOp::VLoad { dst, buf, addr, lanes } => {
-                    let idx = addr.eval(loops, scalars) as usize;
-                    let src = tens.get_unchecked(*buf as usize).add(idx);
-                    std::ptr::copy_nonoverlapping(src, regs.as_mut_ptr().add(*dst as usize), *lanes as usize);
-                }
-                VOp::VStore { src, buf, addr, lanes } => {
-                    let idx = addr.eval(loops, scalars) as usize;
-                    let dst = tens.get_unchecked(*buf as usize).add(idx);
-                    std::ptr::copy_nonoverlapping(regs.as_ptr().add(*src as usize), dst, *lanes as usize);
-                }
-                VOp::VFmaBcast { dst, a, buf, addr, scratch, lanes } => {
-                    let idx = addr.eval(loops, scalars) as usize;
-                    let bval = *tens.get_unchecked(*buf as usize).add(idx);
-                    *regs.get_unchecked_mut(*scratch as usize) = bval;
-                    let (dst, a) = (*dst as usize, *a as usize);
-                    for i in 0..*lanes as usize {
-                        let av = *regs.get_unchecked(a + i);
-                        *regs.get_unchecked_mut(dst + i) += av * bval;
-                    }
-                }
-                VOp::LoopBegin { slot, lo, hi, end } => {
-                    let l = lo.eval(loops, scalars);
-                    let h = hi.eval(loops, scalars);
-                    if l >= h {
-                        pc = *end as usize;
-                        continue;
-                    }
-                    *loops.get_unchecked_mut(*slot as usize) = l;
-                    *bounds.get_unchecked_mut(*slot as usize) = h;
-                }
-                VOp::LoopEnd { slot, begin } => {
-                    let s = *slot as usize;
-                    *loops.get_unchecked_mut(s) += 1;
-                    if *loops.get_unchecked(s) < *bounds.get_unchecked(s) {
-                        pc = *begin as usize + 1;
-                        continue;
-                    }
-                }
-                VOp::Scalar(op) => match op {
-                    TOp::Fma { dst, a, b } => {
-                        let v = *regs.get_unchecked(*a as usize) * *regs.get_unchecked(*b as usize);
-                        *regs.get_unchecked_mut(*dst as usize) += v;
-                    }
-                    TOp::LoadT { dst, buf, addr } => {
-                        let idx = addr.eval(loops, scalars) as usize;
-                        *regs.get_unchecked_mut(*dst as usize) = *tens.get_unchecked(*buf as usize).add(idx);
-                    }
-                    TOp::StoreT { src, buf, addr } => {
-                        let idx = addr.eval(loops, scalars) as usize;
-                        *tens.get_unchecked(*buf as usize).add(idx) = *regs.get_unchecked(*src as usize);
-                    }
-                    TOp::ConstF { dst, val } => *regs.get_unchecked_mut(*dst as usize) = *val,
-                    TOp::Mov { dst, src } => {
-                        *regs.get_unchecked_mut(*dst as usize) = *regs.get_unchecked(*src as usize)
-                    }
-                    TOp::Add { dst, a, b } => {
-                        let v = *regs.get_unchecked(*a as usize) + *regs.get_unchecked(*b as usize);
-                        *regs.get_unchecked_mut(*dst as usize) = v;
-                    }
-                    TOp::Sub { dst, a, b } => {
-                        let v = *regs.get_unchecked(*a as usize) - *regs.get_unchecked(*b as usize);
-                        *regs.get_unchecked_mut(*dst as usize) = v;
-                    }
-                    TOp::Mul { dst, a, b } => {
-                        let v = *regs.get_unchecked(*a as usize) * *regs.get_unchecked(*b as usize);
-                        *regs.get_unchecked_mut(*dst as usize) = v;
-                    }
-                    TOp::Div { dst, a, b } => {
-                        let v = *regs.get_unchecked(*a as usize) / *regs.get_unchecked(*b as usize);
-                        *regs.get_unchecked_mut(*dst as usize) = v;
-                    }
-                    TOp::Neg { dst, src } => {
-                        *regs.get_unchecked_mut(*dst as usize) = -*regs.get_unchecked(*src as usize)
-                    }
-                    TOp::AddAssign { dst, src } => {
-                        let v = *regs.get_unchecked(*src as usize);
-                        *regs.get_unchecked_mut(*dst as usize) += v;
-                    }
-                    TOp::CastI { dst, value } => {
-                        *regs.get_unchecked_mut(*dst as usize) = value.eval(loops, scalars) as f32
-                    }
-                    TOp::Round { reg } => {
-                        let r = regs.get_unchecked_mut(*reg as usize);
-                        *r = exo_ir::types::f16_round(f64::from(*r)) as f32;
-                    }
-                    TOp::Zero { base, len } => {
-                        std::ptr::write_bytes(regs.as_mut_ptr().add(*base as usize), 0, *len as usize);
-                    }
-                    TOp::LoopBegin { .. } | TOp::LoopEnd { .. } => {
-                        debug_assert!(false, "loop markers are lifted to VOp level");
-                    }
-                },
-            }
-            pc += 1;
-        }
-    }
-
-    /// A prove-once dispatch handle over this kernel (see
-    /// [`SuperwordDispatch`]).
-    pub fn dispatcher(self: &std::sync::Arc<Self>) -> SuperwordDispatch {
-        SuperwordDispatch::new(std::sync::Arc::clone(self))
-    }
 }
 
-/// Reusable execution state: the flat register file and the loop
-/// counter/bound tables, allocated once and shared by every run of one
-/// [`SuperwordDispatch`] (or of the SIMD dispatch handle built on it).
-#[derive(Debug, Clone)]
-pub(crate) struct ExecScratch {
-    pub(crate) regs: Vec<f32>,
-    pub(crate) loops: Vec<i64>,
-    pub(crate) bounds: Vec<i64>,
-}
-
-impl ExecScratch {
-    pub(crate) fn for_kernel(kernel: &SuperwordKernel) -> Self {
-        ExecScratch {
-            regs: vec![0.0; kernel.n_regs],
-            loops: vec![0; kernel.n_dyn_loops],
-            bounds: vec![0; kernel.n_dyn_loops],
-        }
-    }
-}
-
-/// One memoised run of the interval proof: the scalar arguments and buffer
-/// lengths it was run for, and its verdict.
-#[derive(Debug, Clone)]
-struct ProofEntry {
-    scalars: Vec<i64>,
-    lens: Vec<usize>,
-    provable: bool,
-}
-
-/// A prove-once dispatch handle: the reusable per-GEMM state of a
-/// [`SuperwordKernel`].
-///
-/// [`SuperwordKernel::run_views`] re-runs the (cheap, `O(ops)`) interval
-/// proof and re-allocates its register file on **every** call, even though a
-/// GEMM driver dispatches the same kernel thousands of times per problem
-/// with only a couple of distinct proof inputs (`KC` full vs. fringe, and
-/// the matching buffer lengths). A `SuperwordDispatch` memoises the proof
-/// verdict per distinct `(scalars, lengths)` tuple and reuses one register
-/// file across calls, so steady-state dispatch does no allocation and no
-/// re-proving. Results are bit-for-bit identical to the one-shot entry
-/// points.
-///
-/// The handle owns its scratch, so create one per worker thread (it is
-/// `Send`) and reuse it for every micro-tile of that worker's share of the
-/// problem.
-#[derive(Debug, Clone)]
-pub struct SuperwordDispatch {
-    kernel: std::sync::Arc<SuperwordKernel>,
-    scratch: ExecScratch,
-    proofs: Vec<ProofEntry>,
-}
-
-impl SuperwordDispatch {
-    /// Creates a dispatch handle for a kernel, allocating its register file
-    /// and loop tables up front.
-    pub fn new(kernel: std::sync::Arc<SuperwordKernel>) -> Self {
-        let scratch = ExecScratch::for_kernel(&kernel);
-        SuperwordDispatch { kernel, scratch, proofs: Vec::new() }
-    }
-
-    /// The kernel this handle dispatches.
-    pub fn kernel(&self) -> &SuperwordKernel {
-        &self.kernel
-    }
-
-    /// How many distinct `(scalars, buffer lengths)` proof inputs have been
-    /// memoised so far. A well-blocked GEMM sees only a handful.
-    pub fn memoised_proofs(&self) -> usize {
-        self.proofs.len()
-    }
-
-    /// Looks up (or runs and memoises) the interval proof for one input
-    /// tuple. The SIMD dispatch handle shares this memo: the same verdict
-    /// gates both the intrinsic chain and the superword unsafe loop.
-    pub(crate) fn provable(&mut self, scalars: &[i64], lens: &[usize]) -> bool {
-        if let Some(entry) = self.proofs.iter().find(|p| p.scalars == scalars && p.lens == lens) {
-            return entry.provable;
-        }
-        let provable = self.kernel.bounds_provable(scalars, lens);
-        self.proofs.push(ProofEntry { scalars: scalars.to_vec(), lens: lens.to_vec(), provable });
-        provable
-    }
-
-    /// Runs the kernel over borrowed tensor views, reusing the memoised
-    /// proof and the handle's register file. Semantics (including errors)
-    /// are identical to [`SuperwordKernel::run_views`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodegenError::BadArguments`] on an argument mismatch and
-    /// [`CodegenError::OutOfBounds`] if an access leaves its buffer.
-    pub fn run_views(&mut self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        self.kernel.validate_views(scalars, tensors)?;
-        // The proof inputs: buffer lengths only (contents never affect
-        // addresses — the tape has no data-dependent control flow).
-        let mut lens_stack = [0usize; 4];
-        let lens: &[usize] = if tensors.len() <= lens_stack.len() {
-            for (slot, t) in lens_stack.iter_mut().zip(tensors.iter()) {
-                *slot = t.as_slice().len();
-            }
-            &lens_stack[..tensors.len()]
-        } else {
-            return self.run_views_slow(scalars, tensors);
-        };
-        let kernel = std::sync::Arc::clone(&self.kernel);
-        if self.provable(scalars, lens) {
-            // SAFETY: construction-time register/loop proof holds for every
-            // `SuperwordKernel`; `provable` just certified (or recalled the
-            // certification of) these exact scalars and buffer lengths; and
-            // `validate_views` guaranteed written tensors are `Rw`.
-            unsafe { kernel.exec_unchecked(scalars, tensors, &mut self.scratch) };
-            Ok(())
-        } else {
-            crate::simd::scalar::exec_checked(&kernel, scalars, tensors, &mut self.scratch)
-        }
-    }
-
-    /// Fallback for kernels with more tensors than the stack buffer holds:
-    /// identical semantics, one heap allocation for the length tuple.
-    fn run_views_slow(&mut self, scalars: &[i64], tensors: &mut [TensorView<'_>]) -> Result<()> {
-        let lens: Vec<usize> = tensors.iter().map(|t| t.as_slice().len()).collect();
-        let kernel = std::sync::Arc::clone(&self.kernel);
-        if self.provable(scalars, &lens) {
-            // SAFETY: as in `run_views`.
-            unsafe { kernel.exec_unchecked(scalars, tensors, &mut self.scratch) };
-            Ok(())
-        } else {
-            crate::simd::scalar::exec_checked(&kernel, scalars, tensors, &mut self.scratch)
-        }
-    }
-
-    /// Runs the packed `(KC, Ac, Bc, C)` micro-kernel signature, reusing the
-    /// memoised proof and register file:
-    /// `c[nr][mr] += ac[kc][mr] * bc[kc][nr]`.
-    ///
-    /// # Errors
-    ///
-    /// As [`SuperwordKernel::run_packed`].
-    pub fn run_packed(&mut self, kc: usize, ac: &[f32], bc: &[f32], c: &mut [f32]) -> Result<()> {
-        self.kernel.check_packed_signature()?;
-        self.run_views(&[kc as i64], &mut [TensorView::Ro(ac), TensorView::Ro(bc), TensorView::Rw(c)])
-    }
-}
-
+/// Kernel fixtures shared with the chain tests of [`crate::simd`].
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::exec::compile;
+    use crate::exec::{compile, RunArg};
+    use crate::simd::{IsaKind, SimdKernel};
     use exo_ir::builder::*;
     use exo_ir::{Expr, MemSpace, ScalarType};
 
@@ -1175,7 +761,7 @@ mod tests {
     /// scheduled micro-kernel lowers to: the `C` tile and both operand
     /// stages live in locals (registers), so the tape scalarises them into
     /// exactly the lane runs the superword pass re-rolls.
-    fn staged_kernels() -> (CompiledKernel, TapeKernel, SuperwordKernel) {
+    pub(crate) fn staged_kernels() -> (CompiledKernel, TapeKernel, SuperwordKernel) {
         let (mr, nr) = (8i64, 4i64);
         let p = proc("ukr_8x4_staged")
             .size_arg("KC")
@@ -1261,11 +847,54 @@ mod tests {
     /// The interpreter oracle on the packed `(KC, Ac, Bc, C)` signature
     /// (its argument interface takes every tensor mutably, hence the
     /// operand copies).
-    fn interp_packed(compiled: &CompiledKernel, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    pub(crate) fn interp_packed(compiled: &CompiledKernel, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
         let (mut a, mut b) = (a.to_vec(), b.to_vec());
         let mut args =
             [RunArg::Size(kc as i64), RunArg::Tensor(&mut a), RunArg::Tensor(&mut b), RunArg::Tensor(c)];
         compiled.run(&mut args).unwrap();
+    }
+
+    /// `x[i] = 1` for `i in 0..N`: claiming an `N` past the buffer makes
+    /// the interval proof decline.
+    pub(crate) fn oob_proc() -> exo_ir::Proc {
+        proc("oob")
+            .size_arg("N")
+            .tensor_arg("x", ScalarType::F32, vec![var("N")], MemSpace::Dram)
+            .body(vec![for_("i", 0, var("N"), vec![assign("x", vec![var("i")], flt(1.0))])])
+            .build()
+    }
+
+    /// The scalarised broadcast FMA: a register-staged operand times one
+    /// memory element, accumulated into a register run —
+    /// `y = x * s[0]`.
+    pub(crate) fn bcast_proc() -> exo_ir::Proc {
+        proc("bcast")
+            .tensor_arg("x", ScalarType::F32, vec![int(4)], MemSpace::Dram)
+            .tensor_arg("s", ScalarType::F32, vec![int(1)], MemSpace::Dram)
+            .tensor_arg("y", ScalarType::F32, vec![int(4)], MemSpace::Dram)
+            .body(vec![
+                alloc("acc", ScalarType::F32, vec![int(4)], MemSpace::Neon),
+                alloc("r", ScalarType::F32, vec![int(4)], MemSpace::Neon),
+                for_("i", 0, 4, vec![assign("r", vec![var("i")], read("x", vec![var("i")]))]),
+                for_(
+                    "i",
+                    0,
+                    4,
+                    vec![reduce(
+                        "acc",
+                        vec![var("i")],
+                        Expr::mul(read("r", vec![var("i")]), read("s", vec![int(0)])),
+                    )],
+                ),
+                for_("i", 0, 4, vec![assign("y", vec![var("i")], read("acc", vec![var("i")]))]),
+            ])
+            .build()
+    }
+
+    /// The `superword` rung: the IR compiled to the scalar chain.
+    pub(crate) fn scalar_chain(sw: &SuperwordKernel) -> SimdKernel {
+        SimdKernel::compile_for(std::sync::Arc::new(sw.clone()), IsaKind::Scalar)
+            .expect("the scalar chain compiles every validated superword kernel")
     }
 
     #[test]
@@ -1278,7 +907,7 @@ mod tests {
         let mut c_interp = c0.clone();
         interp_packed(&compiled, kc, &a, &b, &mut c_interp);
         let mut c_sw = c0.clone();
-        sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+        scalar_chain(&sw).run_packed(kc, &a, &b, &mut c_sw).unwrap();
         assert_eq!(c_interp, c_sw, "superword must be bit-for-bit equal to the interpreter");
     }
 
@@ -1286,7 +915,7 @@ mod tests {
     fn unscheduled_kernels_survive_as_scalar_passthrough() {
         // The unscheduled reference kernel keeps `C` in memory, so nothing
         // packs — the superword tape degenerates to the scalar one (plus
-        // the unchecked dispatch) and must still agree bit for bit.
+        // the bounds-free chain) and must still agree bit for bit.
         let p = exo_isa::ukernel_ref_simple(ScalarType::F32);
         let p = exo_sched::partial_eval(&p, &[4, 4]).unwrap();
         let compiled = compile(&p).unwrap();
@@ -1298,7 +927,7 @@ mod tests {
         let mut c_interp = c0.clone();
         interp_packed(&compiled, kc, &a, &b, &mut c_interp);
         let mut c_sw = c0.clone();
-        sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+        scalar_chain(&sw).run_packed(kc, &a, &b, &mut c_sw).unwrap();
         assert_eq!(c_interp, c_sw);
     }
 
@@ -1319,7 +948,7 @@ mod tests {
         // the interval proof must skip its body rather than reject it.
         let mut c = vec![1.0f32; 32];
         let before = c.clone();
-        sw.run_packed(0, &[], &[], &mut c).unwrap();
+        scalar_chain(&sw).run_packed(0, &[], &[], &mut c).unwrap();
         assert_eq!(c, before, "kc = 0 stages C through registers and writes it back unchanged");
     }
 
@@ -1337,7 +966,7 @@ mod tests {
         let mut out_interp = vec![0.0f32, 3.0];
         compiled.run(&mut [RunArg::Tensor(&mut out_interp)]).unwrap();
         let mut out_sw = vec![0.0f32, 3.0];
-        sw.run(&mut [RunArg::Tensor(&mut out_sw)]).unwrap();
+        scalar_chain(&sw).run_views(&[], &mut [TensorView::Rw(&mut out_sw)]).unwrap();
         assert_eq!(out_interp, out_sw);
         assert_eq!(out_sw[0], 1.0);
         assert_eq!(out_sw[1], exo_ir::types::f16_round(3.0 + 0.1) as f32);
@@ -1345,17 +974,13 @@ mod tests {
 
     #[test]
     fn out_of_bounds_falls_back_to_the_checked_loop_and_reports() {
-        let p = proc("oob")
-            .size_arg("N")
-            .tensor_arg("x", ScalarType::F32, vec![var("N")], MemSpace::Dram)
-            .body(vec![for_("i", 0, var("N"), vec![assign("x", vec![var("i")], flt(1.0))])])
-            .build();
+        let p = oob_proc();
         let sw = compile(&p).unwrap().to_superword().unwrap();
         let mut x = vec![0.0f32; 2];
         // Claim N = 7 over a 2-element buffer: the interval proof declines,
         // and the checked loop reports the first out-of-bounds store.
         assert!(matches!(
-            sw.run(&mut [RunArg::Size(7), RunArg::Tensor(&mut x)]),
+            scalar_chain(&sw).run_views(&[7], &mut [TensorView::Rw(&mut x)]),
             Err(CodegenError::OutOfBounds { .. })
         ));
         // The first two stores landed before the error.
@@ -1366,24 +991,27 @@ mod tests {
     fn written_tensors_and_argument_mismatches_are_rejected() {
         let (_, _, sw) = staged_kernels();
         assert!(!sw.writes_tensor(0) && !sw.writes_tensor(1) && sw.writes_tensor(2));
+        let chain = scalar_chain(&sw);
         let a = vec![0.0f32; 8];
         let b = vec![0.0f32; 4];
         let c = vec![0.0f32; 32];
-        let err = sw.run_views(&[1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
+        let err = chain.run_views(&[1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
         assert!(matches!(err, Err(CodegenError::BadArguments { .. })));
-        let mut too_few = vec![RunArg::Size(1)];
-        assert!(matches!(sw.run(&mut too_few), Err(CodegenError::BadArguments { .. })));
+        let too_few = chain.run_views(&[1], &mut []);
+        assert!(matches!(too_few, Err(CodegenError::BadArguments { .. })));
     }
 
     #[test]
     fn dispatch_handle_matches_one_shot_runs_and_memoises_proofs() {
+        // The superword rung's dispatch handle is the scalar chain's
+        // `SimdDispatch`: it must agree with the one-shot run and prove
+        // once per distinct input, not once per tile.
         let (_, _, sw) = staged_kernels();
-        let sw = std::sync::Arc::new(sw);
-        let mut dispatch = sw.dispatcher();
+        let chain = std::sync::Arc::new(scalar_chain(&sw));
+        let mut dispatch = chain.dispatcher();
         let (mr, nr) = (8usize, 4usize);
         // Sweep the per-GEMM dispatch pattern: many tiles, two distinct KC
-        // values (full and fringe) — the proof must run once per distinct
-        // input, not once per tile.
+        // values (full and fringe).
         for rep in 0..6 {
             for &kc in &[17usize, 5] {
                 let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + rep) % 13) as f32 * 0.5 - 2.0).collect();
@@ -1392,7 +1020,7 @@ mod tests {
                 let mut c_dispatch = c0.clone();
                 dispatch.run_packed(kc, &a, &b, &mut c_dispatch).unwrap();
                 let mut c_one_shot = c0.clone();
-                sw.run_packed(kc, &a, &b, &mut c_one_shot).unwrap();
+                chain.run_packed(kc, &a, &b, &mut c_one_shot).unwrap();
                 assert_eq!(c_dispatch, c_one_shot, "kc={kc} rep={rep}");
             }
         }
@@ -1401,13 +1029,9 @@ mod tests {
 
     #[test]
     fn dispatch_handle_reports_checked_path_errors_like_the_one_shot_run() {
-        let p = proc("oob")
-            .size_arg("N")
-            .tensor_arg("x", ScalarType::F32, vec![var("N")], MemSpace::Dram)
-            .body(vec![for_("i", 0, var("N"), vec![assign("x", vec![var("i")], flt(1.0))])])
-            .build();
-        let sw = std::sync::Arc::new(compile(&p).unwrap().to_superword().unwrap());
-        let mut dispatch = sw.dispatcher();
+        let sw = compile(&oob_proc()).unwrap().to_superword().unwrap();
+        let chain = std::sync::Arc::new(scalar_chain(&sw));
+        let mut dispatch = chain.dispatcher();
         let mut x = vec![0.0f32; 2];
         assert!(matches!(
             dispatch.run_views(&[7], &mut [TensorView::Rw(&mut x)]),
@@ -1429,27 +1053,7 @@ mod tests {
         // memory element, accumulated into a register run — the tape
         // interleaves [LoadT rhs; Fma] pairs, which must collapse into one
         // VFmaBcast per statement.
-        let p = proc("bcast")
-            .tensor_arg("x", ScalarType::F32, vec![int(4)], MemSpace::Dram)
-            .tensor_arg("s", ScalarType::F32, vec![int(1)], MemSpace::Dram)
-            .tensor_arg("y", ScalarType::F32, vec![int(4)], MemSpace::Dram)
-            .body(vec![
-                alloc("acc", ScalarType::F32, vec![int(4)], MemSpace::Neon),
-                alloc("r", ScalarType::F32, vec![int(4)], MemSpace::Neon),
-                for_("i", 0, 4, vec![assign("r", vec![var("i")], read("x", vec![var("i")]))]),
-                for_(
-                    "i",
-                    0,
-                    4,
-                    vec![reduce(
-                        "acc",
-                        vec![var("i")],
-                        Expr::mul(read("r", vec![var("i")]), read("s", vec![int(0)])),
-                    )],
-                ),
-                for_("i", 0, 4, vec![assign("y", vec![var("i")], read("acc", vec![var("i")]))]),
-            ])
-            .build();
+        let p = bcast_proc();
         let compiled = compile(&p).unwrap();
         let sw = compiled.to_superword().unwrap();
         assert!(sw.ops.iter().any(|op| matches!(op, VOp::VFmaBcast { lanes: 4, .. })), "{:?}", sw.ops);
@@ -1457,14 +1061,16 @@ mod tests {
         assert!(sw.ops.iter().any(|op| matches!(op, VOp::VStore { lanes: 4, .. })));
         let x = vec![1.5f32, -2.0, 0.25, 3.0];
         let s = vec![0.5f32];
-        let run = |k: &dyn Fn(&mut [RunArg<'_>]) -> Result<()>| {
-            let mut xb = x.clone();
-            let mut sb = s.clone();
-            let mut y = vec![0.0f32; 4];
-            k(&mut [RunArg::Tensor(&mut xb), RunArg::Tensor(&mut sb), RunArg::Tensor(&mut y)]).unwrap();
-            y
-        };
-        assert_eq!(run(&|args| compiled.run(args)), run(&|args| sw.run(args)));
-        assert_eq!(run(&|args| sw.run(args)), vec![0.75, -1.0, 0.125, 1.5]);
+        let mut y_interp = vec![0.0f32; 4];
+        let (mut xb, mut sb) = (x.clone(), s.clone());
+        compiled
+            .run(&mut [RunArg::Tensor(&mut xb), RunArg::Tensor(&mut sb), RunArg::Tensor(&mut y_interp)])
+            .unwrap();
+        let mut y_sw = vec![0.0f32; 4];
+        scalar_chain(&sw)
+            .run_views(&[], &mut [TensorView::Ro(&x), TensorView::Ro(&s), TensorView::Rw(&mut y_sw)])
+            .unwrap();
+        assert_eq!(y_interp, y_sw);
+        assert_eq!(y_sw, vec![0.75, -1.0, 0.125, 1.5]);
     }
 }

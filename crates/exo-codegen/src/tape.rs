@@ -19,8 +19,9 @@
 //! * Remaining loops (`for k in 0..KC`) are tape-level jump pairs.
 //!
 //! The tape is IR only: it has no executor of its own. The superword pass
-//! ([`crate::superword`]) re-rolls it into whole-vector ops and runs it,
-//! and the simd and native tiers are compiled from that lowering. The tape
+//! ([`crate::superword`]) re-rolls it into whole-vector ops, and every
+//! tier — the in-process chains of [`crate::simd`] and the native C — is
+//! compiled from that lowering. The tape
 //! keeps the interpreter's exact sequence of f32 operations (same order,
 //! same mul-then-add rounding, same f16 rounding points), so every tier
 //! built on it can be held bit-for-bit against [`CompiledKernel::run`].
@@ -47,7 +48,7 @@ const MAX_TAPE_OPS: usize = 1 << 20;
 const TEMP_FLAG: u32 = 1 << 31;
 
 /// Vector lanes the register file is aligned to: every local buffer starts
-/// on a multiple of this, so the whole-vector ops of the superword backend
+/// on a multiple of this, so the whole-vector ops of the superword IR
 /// ([`crate::superword`]) always address lane-aligned register runs.
 pub(crate) const LANE_ALIGN: u32 = 8;
 
@@ -276,7 +277,7 @@ impl TapeBuilder {
     }
 
     fn persist_alloc(&mut self, len: u32) -> u32 {
-        // Lane-align every local so the superword backend's whole-vector ops
+        // Lane-align every local so the superword IR's whole-vector ops
         // address lane-aligned register runs; the padding registers are never
         // read or written.
         let base = self.persist_next.next_multiple_of(LANE_ALIGN);
@@ -626,6 +627,7 @@ impl TapeBuilder {
 mod tests {
     use super::*;
     use crate::exec::{compile, RunArg};
+    use crate::superword::tests::scalar_chain;
     use crate::superword::TensorView;
     use exo_ir::builder::*;
     use exo_ir::{MemSpace, ScalarType};
@@ -642,36 +644,38 @@ mod tests {
     }
 
     /// The tape has no executor of its own: these tests run it through its
-    /// superword lowering, the executor every tier is built on.
+    /// superword lowering compiled to the scalar chain, the bit-exact
+    /// in-process executor.
     #[test]
     fn tape_matches_interpreter_bit_for_bit_on_the_reference_kernel() {
         let (compiled, tape) = reference_tape();
-        let sw = tape.to_superword().unwrap();
+        let chain = scalar_chain(&tape.to_superword().unwrap());
         let (mr, nr, kc) = (8usize, 12usize, 29usize);
         let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + 3) % 13) as f32 * 0.5 - 2.0).collect();
         let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.25 - 1.0).collect();
         let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 5) as f32 * 0.5).collect();
 
-        let run = |kernel: &dyn Fn(&mut [RunArg<'_>]) -> Result<()>| {
-            let mut a_buf = a.clone();
-            let mut b_buf = b.clone();
-            let mut c = c0.clone();
-            let mut args = vec![
+        let (mut a_buf, mut b_buf, mut c_interp) = (a.clone(), b.clone(), c0.clone());
+        compiled
+            .run(&mut [
                 RunArg::Size(kc as i64),
                 RunArg::Tensor(&mut a_buf),
                 RunArg::Tensor(&mut b_buf),
-                RunArg::Tensor(&mut c),
-            ];
-            kernel(&mut args).unwrap();
-            c
-        };
-        let c_interp = run(&|args| compiled.run(args));
-        let c_tape = run(&|args| sw.run(args));
+                RunArg::Tensor(&mut c_interp),
+            ])
+            .unwrap();
+        let (mut a_buf, mut b_buf, mut c_tape) = (a.clone(), b.clone(), c0.clone());
+        chain
+            .run_views(
+                &[kc as i64],
+                &mut [TensorView::Rw(&mut a_buf), TensorView::Rw(&mut b_buf), TensorView::Rw(&mut c_tape)],
+            )
+            .unwrap();
         assert_eq!(c_interp, c_tape, "tape must be bit-for-bit equal to the interpreter");
 
         // The zero-copy packed entry point computes the same values.
         let mut c_packed = c0.clone();
-        sw.run_packed(kc, &a, &b, &mut c_packed).unwrap();
+        chain.run_packed(kc, &a, &b, &mut c_packed).unwrap();
         assert_eq!(c_interp, c_packed);
     }
 
@@ -686,8 +690,8 @@ mod tests {
         let a = vec![0.0f32; 8];
         let b = vec![0.0f32; 12];
         let c = vec![0.0f32; 96];
-        let sw = tape.to_superword().unwrap();
-        let err = sw.run_views(&[1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
+        let err = scalar_chain(&tape.to_superword().unwrap())
+            .run_views(&[1], &mut [TensorView::Ro(&a), TensorView::Ro(&b), TensorView::Ro(&c)]);
         assert!(matches!(err, Err(CodegenError::BadArguments { .. })));
     }
 
@@ -716,11 +720,11 @@ mod tests {
             .body(vec![assign("out", vec![int(0)], flt(1.0 + 1.0e-5)), reduce("out", vec![int(1)], flt(0.1))])
             .build();
         let compiled = compile(&p).unwrap();
-        let sw = compiled.to_tape().unwrap().to_superword().unwrap();
+        let chain = scalar_chain(&compiled.to_superword().unwrap());
         let mut out_interp = vec![0.0f32, 3.0];
         compiled.run(&mut [RunArg::Tensor(&mut out_interp)]).unwrap();
         let mut out_tape = vec![0.0f32, 3.0];
-        sw.run(&mut [RunArg::Tensor(&mut out_tape)]).unwrap();
+        chain.run_views(&[], &mut [TensorView::Rw(&mut out_tape)]).unwrap();
         assert_eq!(out_interp, out_tape);
         assert_eq!(out_interp[0], 1.0);
     }

@@ -13,7 +13,7 @@
 //!   artefact of the model. Candidates time through the same prove-once
 //!   [`gemm_blis::KernelDispatch`] the production driver uses — the native
 //!   SIMD chain (`exo_codegen::simd`, AVX2/FMA intrinsics) on hosts that
-//!   have it, the portable superword backend elsewhere, and whatever tier
+//!   have it, the bit-exact scalar chain elsewhere, and whatever tier
 //!   an `EXO_BACKEND` override forces — so the measured cost is the cost
 //!   of the tier that will actually serve the problem.
 //!

@@ -71,9 +71,10 @@ pub enum ExecBackend {
     /// multiply-add into one rounding); the scalar chain is bit-identical
     /// to it.
     Simd,
-    /// Superword whole-vector execution — the portable tier at the bottom
-    /// of the ladder, bit-for-bit identical to [`reference_kernel`] and to
-    /// the interpreter oracle (`exo_codegen::CompiledKernel::run`).
+    /// The superword IR compiled to the scalar chain
+    /// ([`exo_codegen::IsaKind::Scalar`]) — the portable tier at the
+    /// bottom of the ladder, bit-for-bit identical to [`reference_kernel`]
+    /// and to the interpreter oracle (`exo_codegen::CompiledKernel::run`).
     Superword,
 }
 
@@ -228,7 +229,16 @@ impl KernelImpl {
                     None => Tier::Simd(kernel.simd.dispatcher()),
                 },
                 ExecBackend::Simd => Tier::Simd(kernel.simd.dispatcher()),
-                ExecBackend::Superword => Tier::Superword(kernel.simd.source().dispatcher()),
+                // The bottom rung: the same IR on the scalar chain, compiled
+                // per handle (well under a microsecond per kernel).
+                ExecBackend::Superword => {
+                    let chain = exo_codegen::SimdKernel::compile_for(
+                        Arc::clone(kernel.simd.source()),
+                        exo_codegen::IsaKind::Scalar,
+                    )
+                    .expect("the scalar chain compiles every tape the active chain compiled");
+                    Tier::Simd(Arc::new(chain).dispatcher())
+                }
             }),
             _ => None,
         };
@@ -241,7 +251,6 @@ impl KernelImpl {
 enum Tier {
     Native(exo_aot::NativeDispatch),
     Simd(exo_codegen::SimdDispatch),
-    Superword(exo_codegen::SuperwordDispatch),
 }
 
 /// A reusable per-GEMM (per-worker) micro-kernel handle.
@@ -249,8 +258,8 @@ enum Tier {
 /// For generated kernels this wraps a prove-once dispatch of the selected
 /// tier — [`exo_aot::NativeDispatch`] for the ahead-of-time compiled
 /// artifact (the default), [`exo_codegen::SimdDispatch`] for the vector
-/// chain of the active ISA, [`exo_codegen::SuperwordDispatch`] for the
-/// portable tier: the run-time bounds proof is memoised per distinct
+/// chain of the active ISA and for the portable tier's scalar chain: the
+/// run-time bounds proof is memoised per distinct
 /// `(KC, buffer lengths)` tuple and the register file is reused, so the
 /// steady-state micro-tile dispatch allocates nothing. The hand-written
 /// families run their plain loops ([`KernelImpl::run`]).
@@ -281,7 +290,6 @@ impl KernelDispatch {
         let result = match tier {
             Tier::Native(native) => native.run_packed(kc, a, b, c),
             Tier::Simd(simd) => simd.run_packed(kc, a, b, c),
-            Tier::Superword(sw) => sw.run_packed(kc, a, b, c),
         };
         result.map_err(|e| GemmError::Kernel { kernel: self.imp.name.clone(), message: e.to_string() })
     }

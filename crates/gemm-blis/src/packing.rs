@@ -20,10 +20,8 @@
 //!   dense `A` hot path, and the dense-`B`-transposed path);
 //! * anything else → a scalar stride walk.
 //!
-//! Two layers are provided: [`pack_a`]/[`pack_b`] allocate per call (for
-//! one-off callers and tests); [`pack_a_into`]/[`pack_b_into`] +
-//! [`PackArena`] write into caller-owned buffers sized once per GEMM, and
-//! are what the driver uses.
+//! [`pack_a_into`]/[`pack_b_into`] write into caller-owned buffers —
+//! a [`PackArena`] sized once per GEMM, in the driver.
 
 use crate::blocking::BlockingParams;
 use crate::views::MatRef;
@@ -95,29 +93,12 @@ fn pack_region(out: &mut [f32], region: MatRef<'_>, tile_w: usize, alpha: f32) {
 }
 
 /// Packs a block of `op(A)` (selecting rows `ic..ic+mc_eff` and columns
-/// `pc..pc+kc_eff` of the *effective*, op-applied view) into `mr`-row
-/// micro-panels scaled by `alpha`, zero-padding the last panel.
-///
-/// The returned buffer holds `ceil(mc_eff / mr)` panels, each laid out as
-/// `kc_eff` rows of `mr` contiguous elements.
-pub fn pack_a(
-    a: MatRef<'_>,
-    ic: usize,
-    pc: usize,
-    mc_eff: usize,
-    kc_eff: usize,
-    mr: usize,
-    alpha: f32,
-) -> Vec<f32> {
-    let mut out = vec![0.0f32; mc_eff.div_ceil(mr) * kc_eff * mr];
-    pack_a_into(&mut out, a, ic, pc, mc_eff, kc_eff, mr, alpha);
-    out
-}
-
-/// Packs a block of `op(A)` into `out` (see [`pack_a`]), which must hold at
-/// least `ceil(mc_eff / mr) * kc_eff * mr` elements. Every element of that
-/// prefix is written (values or explicit zero padding), so a reused arena
-/// buffer never leaks stale data.
+/// `pc..pc+kc_eff` of the *effective*, op-applied view) into `out` as
+/// `ceil(mc_eff / mr)` micro-panels of `kc_eff` rows of `mr` contiguous
+/// elements, scaled by `alpha`, zero-padding the last panel. `out` must
+/// hold at least `ceil(mc_eff / mr) * kc_eff * mr` elements. Every element
+/// of that prefix is written (values or explicit zero padding), so a
+/// reused arena buffer never leaks stale data.
 ///
 /// # Panics
 ///
@@ -149,19 +130,10 @@ pub fn pack_a_into(
 }
 
 /// Packs a block of `op(B)` (selecting rows `pc..pc+kc_eff` and columns
-/// `jc..jc+nc_eff` of the effective, op-applied view) into `nr`-column
-/// micro-panels, zero-padding the last panel.
-///
-/// The returned buffer holds `ceil(nc_eff / nr)` panels, each laid out as
-/// `kc_eff` rows of `nr` contiguous elements.
-pub fn pack_b(b: MatRef<'_>, pc: usize, jc: usize, kc_eff: usize, nc_eff: usize, nr: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; nc_eff.div_ceil(nr) * kc_eff * nr];
-    pack_b_into(&mut out, b, pc, jc, kc_eff, nc_eff, nr);
-    out
-}
-
-/// Packs a block of `op(B)` into `out` (see [`pack_b`]), which must hold at
-/// least `ceil(nc_eff / nr) * kc_eff * nr` elements. Every element of that
+/// `jc..jc+nc_eff` of the effective, op-applied view) into `out` as
+/// `ceil(nc_eff / nr)` micro-panels of `kc_eff` rows of `nr` contiguous
+/// elements, zero-padding the last panel. `out` must hold at least
+/// `ceil(nc_eff / nr) * kc_eff * nr` elements. Every element of that
 /// prefix is written, so a reused arena buffer never leaks stale data.
 ///
 /// # Panics
@@ -208,7 +180,7 @@ pub fn b_panel(packed: &[f32], jr: usize, kc_eff: usize, nr: usize) -> &[f32] {
 /// packed `Ac` block on every `(jc, pc, ic)` iteration and for `Bc` on every
 /// `(jc, pc)` iteration. A `PackArena` is allocated **once** per GEMM at the
 /// blocking-derived maximum block sizes (clamped to the problem), and the
-/// `pack_*` calls then write in place.
+/// `pack_*_into` calls then write into its [`PackArena::buffers`].
 #[derive(Debug, Clone)]
 pub struct PackArena {
     a: Vec<f32>,
@@ -266,12 +238,14 @@ impl PackArena {
     pub fn b_capacity(&self) -> usize {
         self.b.len()
     }
+}
 
-    /// Packs an `op(A)` block into the arena (see [`pack_a`]) and returns
-    /// the packed prefix.
-    #[allow(clippy::too_many_arguments)]
-    pub fn pack_a<'s>(
-        &'s mut self,
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The allocating routine: `pack_a_into` a fresh, exactly sized buffer.
+    fn packed_a(
         a: MatRef<'_>,
         ic: usize,
         pc: usize,
@@ -279,40 +253,25 @@ impl PackArena {
         kc_eff: usize,
         mr: usize,
         alpha: f32,
-    ) -> &'s [f32] {
-        let len = mc_eff.div_ceil(mr) * kc_eff * mr;
-        pack_a_into(&mut self.a[..len], a, ic, pc, mc_eff, kc_eff, mr, alpha);
-        &self.a[..len]
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; mc_eff.div_ceil(mr) * kc_eff * mr];
+        pack_a_into(&mut out, a, ic, pc, mc_eff, kc_eff, mr, alpha);
+        out
     }
 
-    /// Packs an `op(B)` block into the arena (see [`pack_b`]) and returns
-    /// the packed prefix.
-    #[allow(clippy::too_many_arguments)]
-    pub fn pack_b<'s>(
-        &'s mut self,
-        b: MatRef<'_>,
-        pc: usize,
-        jc: usize,
-        kc_eff: usize,
-        nc_eff: usize,
-        nr: usize,
-    ) -> &'s [f32] {
-        let len = nc_eff.div_ceil(nr) * kc_eff * nr;
-        pack_b_into(&mut self.b[..len], b, pc, jc, kc_eff, nc_eff, nr);
-        &self.b[..len]
+    /// The allocating routine: `pack_b_into` a fresh, exactly sized buffer.
+    fn packed_b(b: MatRef<'_>, pc: usize, jc: usize, kc_eff: usize, nc_eff: usize, nr: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; nc_eff.div_ceil(nr) * kc_eff * nr];
+        pack_b_into(&mut out, b, pc, jc, kc_eff, nc_eff, nr);
+        out
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn pack_a_is_unit_stride_per_panel() {
         // A is 6 x 4 with A[i][j] = 10 i + j.
         let (m, k) = (6usize, 4usize);
         let a: Vec<f32> = (0..m * k).map(|x| (10 * (x / k) + x % k) as f32).collect();
-        let packed = pack_a(MatRef::from_slice(&a, m, k), 0, 0, m, k, 4, 1.0);
+        let packed = packed_a(MatRef::from_slice(&a, m, k), 0, 0, m, k, 4, 1.0);
         // Two panels of 4 rows (second padded by 2 rows of zeros).
         assert_eq!(packed.len(), 2 * k * 4);
         // Panel 0, k = 1 holds rows 0..4 column 1: 1, 11, 21, 31.
@@ -328,7 +287,7 @@ mod tests {
         // B is 3 x 7 with B[k][j] = 100 k + j.
         let (k, n) = (3usize, 7usize);
         let b: Vec<f32> = (0..k * n).map(|x| (100 * (x / n) + x % n) as f32).collect();
-        let packed = pack_b(MatRef::from_slice(&b, k, n), 0, 0, k, n, 4);
+        let packed = packed_b(MatRef::from_slice(&b, k, n), 0, 0, k, n, 4);
         assert_eq!(packed.len(), 2 * k * 4);
         let p0 = b_panel(&packed, 0, k, 4);
         assert_eq!(&p0[0..4], &[0.0, 1.0, 2.0, 3.0]);
@@ -342,7 +301,7 @@ mod tests {
     fn packing_a_sub_block_offsets_correctly() {
         let (m, k) = (8usize, 8usize);
         let a: Vec<f32> = (0..m * k).map(|x| x as f32).collect();
-        let packed = pack_a(MatRef::from_slice(&a, m, k), 4, 2, 4, 3, 4, 1.0);
+        let packed = packed_a(MatRef::from_slice(&a, m, k), 4, 2, 4, 3, 4, 1.0);
         // Single panel: rows 4..8, columns 2..5.
         let p = a_panel(&packed, 0, 3, 4);
         assert_eq!(p[0], a[4 * k + 2]);
@@ -367,8 +326,8 @@ mod tests {
             d
         };
         for mr in [4usize, 8] {
-            let via_view = pack_a(MatRef::from_slice(&at, k, m).t(), 0, 0, m, k, mr, 1.0);
-            let via_dense = pack_a(MatRef::from_slice(&a_dense, m, k), 0, 0, m, k, mr, 1.0);
+            let via_view = packed_a(MatRef::from_slice(&at, k, m).t(), 0, 0, m, k, mr, 1.0);
+            let via_dense = packed_a(MatRef::from_slice(&a_dense, m, k), 0, 0, m, k, mr, 1.0);
             assert_eq!(via_view, via_dense, "mr = {mr}");
         }
         // Same for B: a transposed view and a column-major view of the same
@@ -384,9 +343,9 @@ mod tests {
             }
             d
         };
-        let via_dense = pack_b(MatRef::from_slice(&b_dense, kk, n), 1, 2, 4, 7, 4);
-        let via_cm = pack_b(MatRef::col_major(&b_cm, kk, n), 1, 2, 4, 7, 4);
-        let via_t = pack_b(MatRef::from_slice(&b_cm, n, kk).t(), 1, 2, 4, 7, 4);
+        let via_dense = packed_b(MatRef::from_slice(&b_dense, kk, n), 1, 2, 4, 7, 4);
+        let via_cm = packed_b(MatRef::col_major(&b_cm, kk, n), 1, 2, 4, 7, 4);
+        let via_t = packed_b(MatRef::from_slice(&b_cm, n, kk).t(), 1, 2, 4, 7, 4);
         assert_eq!(via_dense, via_cm);
         assert_eq!(via_dense, via_t);
     }
@@ -394,8 +353,8 @@ mod tests {
     #[test]
     fn alpha_scales_packed_a_elements() {
         let a: Vec<f32> = (0..12).map(|x| x as f32).collect();
-        let plain = pack_a(MatRef::from_slice(&a, 3, 4), 0, 0, 3, 4, 4, 1.0);
-        let scaled = pack_a(MatRef::from_slice(&a, 3, 4), 0, 0, 3, 4, 4, -0.5);
+        let plain = packed_a(MatRef::from_slice(&a, 3, 4), 0, 0, 3, 4, 4, 1.0);
+        let scaled = packed_a(MatRef::from_slice(&a, 3, 4), 0, 0, 3, 4, 4, -0.5);
         for (p, s) in plain.iter().zip(&scaled) {
             assert_eq!(*s, -0.5 * *p);
         }
@@ -410,16 +369,17 @@ mod tests {
         let a_view = MatRef::from_slice(&a, m, k);
         let b_view = MatRef::from_slice(&b, k, n);
         let mut arena = PackArena::for_problem(&blocking, m, n, k);
-        // Dirty the arena with a large block first, then pack a smaller
-        // fringe block: the reused buffer must not leak stale values.
-        arena.pack_a(a_view, 0, 0, 7, 6, 4, 1.0);
-        arena.pack_b(b_view, 0, 0, 6, 11, 4);
-        let got_a = arena.pack_a(a_view, 4, 1, 3, 5, 4, 1.0).to_vec();
-        let want_a = pack_a(a_view, 4, 1, 3, 5, 4, 1.0);
-        assert_eq!(got_a, want_a);
-        let got_b = arena.pack_b(b_view, 2, 8, 4, 3, 4).to_vec();
-        let want_b = pack_b(b_view, 2, 8, 4, 3, 4);
-        assert_eq!(got_b, want_b);
+        let (a_buf, b_buf) = arena.buffers();
+        // Dirty the whole arena first, then pack a smaller fringe block:
+        // the reused buffer must not leak stale values.
+        a_buf.fill(f32::NAN);
+        b_buf.fill(f32::NAN);
+        let a_len = 3usize.div_ceil(4) * 5 * 4;
+        pack_a_into(&mut a_buf[..a_len], a_view, 4, 1, 3, 5, 4, 1.0);
+        assert_eq!(a_buf[..a_len], packed_a(a_view, 4, 1, 3, 5, 4, 1.0));
+        let b_len = 3usize.div_ceil(4) * 4 * 4;
+        pack_b_into(&mut b_buf[..b_len], b_view, 2, 8, 4, 3, 4);
+        assert_eq!(b_buf[..b_len], packed_b(b_view, 2, 8, 4, 3, 4));
     }
 
     #[test]

@@ -99,12 +99,12 @@ pub struct GeneratedKernel {
     /// own). A shape whose scheduled form the tape declines does not
     /// generate at all.
     pub tape: Arc<TapeKernel>,
-    /// Superword lowering of [`Self::tape`]: whole-vector ops, one vector
-    /// register per dispatch — the portable tier at the bottom of the
-    /// native → simd → superword ladder, and the source the simd chain
-    /// and the native C are compiled from. Always `Some`: generation
-    /// fails when the lowering does. The `Option` is kept so callers that
-    /// `filter_map` over kernels need not change.
+    /// Superword lowering of [`Self::tape`]: whole-vector ops, the IR the
+    /// simd chain and the native C are compiled from. The bottom rung of
+    /// the native → simd → superword ladder runs it on the scalar chain.
+    /// Always `Some`: generation fails when the lowering does. The
+    /// `Option` is kept so callers that `filter_map` over kernels need not
+    /// change.
     pub superword: Option<Arc<SuperwordKernel>>,
     /// Closure chain compiled from [`Self::superword`] for the active
     /// vector ISA (`exo_codegen::active_isa()`: AVX2/FMA, NEON, or the
@@ -391,7 +391,7 @@ impl KernelSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exo_codegen::RunArg;
+    use exo_codegen::{IsaKind, RunArg};
     use exo_isa::{avx512_f32, neon_f16, neon_f32};
 
     fn naive(mr: usize, nr: usize, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
@@ -449,10 +449,11 @@ mod tests {
             let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 13 + 5) % 17) as f32 * 0.25 - 2.0).collect();
             let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 7 + 11) % 19) as f32 * 0.125 - 1.0).collect();
             let c0: Vec<f32> = (0..nr * mr).map(|i| (i % 7) as f32 * 0.5).collect();
-            // The superword tier (the tape's executor) is bit-identical to
-            // the interpreter oracle.
+            // The superword tier (the superword IR on the scalar chain) is
+            // bit-identical to the interpreter oracle.
+            let sw = Arc::clone(kernel.superword.as_ref().unwrap());
             let mut c_sw = c0.clone();
-            kernel.superword.as_ref().unwrap().run_packed(kc, &a, &b, &mut c_sw).unwrap();
+            SimdKernel::compile_for(sw, IsaKind::Scalar).unwrap().run_packed(kc, &a, &b, &mut c_sw).unwrap();
             let (mut a_buf, mut b_buf, mut c_interp) = (a.clone(), b.clone(), c0.clone());
             kernel
                 .compiled

@@ -29,7 +29,7 @@ mod common;
 use std::sync::Arc;
 
 use common::{assert_fma_close, Cases};
-use exo_gemm::exo_codegen::{RunArg, SimdKernel};
+use exo_gemm::exo_codegen::{CompiledKernel, RunArg, SimdKernel};
 use exo_gemm::exo_isa::neon_f32;
 use exo_gemm::gemm_blis::{
     active_isa, exo_kernel, exo_kernel_simd, exo_kernel_superword, naive_gemm, native_available,
@@ -37,6 +37,21 @@ use exo_gemm::gemm_blis::{
     Matrix,
 };
 use exo_gemm::ukernel_gen::{KernelCache, KernelSet, MicroKernelGenerator};
+
+/// The kernel-level bitwise oracle: the tree-walking interpreter on the
+/// packed `(KC, Ac, Bc, C)` signature (its argument interface takes every
+/// tensor mutably, hence the operand copies).
+fn interp_packed(compiled: &CompiledKernel, kc: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let (mut a, mut b) = (a.to_vec(), b.to_vec());
+    compiled
+        .run(&mut [
+            RunArg::Size(kc as i64),
+            RunArg::Tensor(&mut a),
+            RunArg::Tensor(&mut b),
+            RunArg::Tensor(c),
+        ])
+        .unwrap();
+}
 
 fn packed_operands(mr: usize, nr: usize, kc: usize, cases: &mut Cases) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
     let a: Vec<f32> = (0..kc * mr).map(|_| cases.f32_unit()).collect();
@@ -65,6 +80,9 @@ fn native_simd_superword_and_the_interpreter_agree_across_registry_shapes() {
         let kernel = cache.get_or_generate(&generator, mr, nr).unwrap();
         let sw = kernel.superword.as_ref().expect("every generated kernel carries its superword lowering");
         assert!(sw.vector_op_count() > 0, "{mr}x{nr} must pack whole-vector ops");
+        // The superword rung: the same IR on the scalar chain.
+        let superword =
+            SimdKernel::compile_for(Arc::clone(sw), IsaKind::Scalar).expect("the scalar chain compiles");
         assert_eq!(kernel.simd.isa(), active_isa(), "{mr}x{nr}: chain targets the active ISA");
         // Settle the asynchronous native verdict before measuring, so the
         // bit-faithfulness leg below actually exercises the compiled tier
@@ -80,17 +98,9 @@ fn native_simd_superword_and_the_interpreter_agree_across_registry_shapes() {
             let mut c_simd = c0.clone();
             kernel.simd.run_packed(kc, &a, &b, &mut c_simd).unwrap();
             let mut c_sw = c0.clone();
-            sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
-            let (mut a_buf, mut b_buf, mut c_interp) = (a.clone(), b.clone(), c0.clone());
-            kernel
-                .compiled
-                .run(&mut [
-                    RunArg::Size(kc as i64),
-                    RunArg::Tensor(&mut a_buf),
-                    RunArg::Tensor(&mut b_buf),
-                    RunArg::Tensor(&mut c_interp),
-                ])
-                .unwrap();
+            superword.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+            let mut c_interp = c0.clone();
+            interp_packed(&kernel.compiled, kc, &a, &b, &mut c_interp);
             let mut c_native = c0.clone();
             match &native {
                 Some(native) => native.run_packed(kc, &a, &b, &mut c_native).unwrap(),
@@ -171,8 +181,8 @@ fn native_and_simd_drivers_match_naive_on_fringe_heavy_problems() {
 
 /// The programmatic backend pin: `with_backend(Superword)` on the simd
 /// default must be bit-identical to the dedicated superword pin through
-/// the full driver — the portable fallback really is the unchanged
-/// superword path, not a third code path.
+/// the full driver — the portable fallback is the one superword rung (the
+/// scalar chain), not a third code path.
 #[test]
 fn forced_superword_fallback_is_bit_identical_to_the_superword_pin() {
     let generator = MicroKernelGenerator::new(neon_f32());
@@ -198,6 +208,32 @@ fn forced_superword_fallback_is_bit_identical_to_the_superword_pin() {
             )
             .unwrap();
         assert_eq!(c_forced.data, c_sw.data, "{m}x{n}x{k}");
+    }
+}
+
+/// The `superword` pin through the handle the driver dispatches with
+/// (`KernelDispatch`, reused across calls) runs the scalar chain: bitwise
+/// equal to the interpreter oracle on every registry tile plus the
+/// ResNet50 tiles, from `kc = 0` up to the production depths 400 and 512.
+#[test]
+fn the_superword_pin_dispatches_bitwise_equal_to_the_interpreter() {
+    if ExecBackend::Superword.effective() != ExecBackend::Superword {
+        // A forced `EXO_BACKEND` override reroutes the pin to another tier.
+        return;
+    }
+    let generator = MicroKernelGenerator::new(neon_f32());
+    let mut cases = Cases::new(0x5e1f);
+    for (mr, nr) in KernelSet::paper_shapes().into_iter().chain([(4, 24), (12, 8)]) {
+        let kernel = Arc::new(generator.generate(mr, nr).unwrap());
+        let mut dispatch = exo_kernel_superword(Arc::clone(&kernel)).dispatcher();
+        for kc in [0usize, 1, 17, 400, 512] {
+            let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
+            let mut c_pin = c0.clone();
+            dispatch.run(kc, &a, &b, &mut c_pin).unwrap();
+            let mut c_interp = c0.clone();
+            interp_packed(&kernel.compiled, kc, &a, &b, &mut c_interp);
+            assert_eq!(c_pin, c_interp, "{mr}x{nr} kc={kc}: superword pin vs interpreter");
+        }
     }
 }
 
@@ -325,9 +361,9 @@ fn jc_split_is_bit_identical_across_backends_and_thread_counts() {
 /// The ISA axis of the differential suite: for every registry shape and
 /// every vector ISA the host can run, the chain compiled *for that ISA*
 /// (via `SimdKernel::compile_for`, independent of the `EXO_ISA` pin) must
-/// agree with the portable superword reference — the scalar chain **bit
-/// for bit** (it rounds multiply-then-add exactly like the portable
-/// tiers), the native AVX2/NEON chains within the documented
+/// agree with the interpreter oracle — the scalar chain (the superword
+/// rung) **bit for bit**, since it rounds multiply-then-add exactly like
+/// the interpreter, the native AVX2/NEON chains within the documented
 /// FMA-contraction bound.
 #[test]
 fn every_available_isa_matches_superword_across_registry_shapes() {
@@ -345,7 +381,7 @@ fn every_available_isa_matches_superword_across_registry_shapes() {
             for kc in [0usize, 1, 2, 17, 64] {
                 let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
                 let mut c_sw = c0.clone();
-                sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+                interp_packed(&kernel.compiled, kc, &a, &b, &mut c_sw);
                 let mut c_chain = c0.clone();
                 chain.run_packed(kc, &a, &b, &mut c_chain).unwrap();
                 if isa.contracts_fma() {
@@ -363,7 +399,7 @@ fn every_available_isa_matches_superword_across_registry_shapes() {
 /// its masked partial-vector path (one whole `float32x4_t` plus a 2-lane
 /// masked fringe per 6-lane run) and the AVX2 chain its `__m128`-quarter +
 /// scalar-tail path. Every available ISA must still agree with the
-/// superword reference under the same per-ISA contract as the registry
+/// interpreter oracle under the same per-ISA contract as the registry
 /// shapes.
 #[test]
 fn fringe_lane_runs_take_the_masked_partial_vector_path_on_every_isa() {
@@ -446,7 +482,8 @@ fn fringe_lane_runs_take_the_masked_partial_vector_path_on_every_isa() {
             ),
         ])
         .build();
-    let sw = Arc::new(exo_gemm::exo_codegen::compile(&p).unwrap().to_superword().unwrap());
+    let compiled = exo_gemm::exo_codegen::compile(&p).unwrap();
+    let sw = Arc::new(compiled.to_superword().unwrap());
     assert!(sw.vector_op_count() > 0, "the 6-lane staged tiles must pack whole-vector ops");
     let (mr, nr) = (mr as usize, nr as usize);
     let mut cases = Cases::new(0xf41e);
@@ -456,7 +493,7 @@ fn fringe_lane_runs_take_the_masked_partial_vector_path_on_every_isa() {
         for kc in [0usize, 1, 2, 17, 64] {
             let (a, b, c0) = packed_operands(mr, nr, kc, &mut cases);
             let mut c_sw = c0.clone();
-            sw.run_packed(kc, &a, &b, &mut c_sw).unwrap();
+            interp_packed(&compiled, kc, &a, &b, &mut c_sw);
             let mut c_chain = c0.clone();
             chain.run_packed(kc, &a, &b, &mut c_chain).unwrap();
             if isa.contracts_fma() {
