@@ -5,7 +5,7 @@
 //!
 //! * `superword+arena`          — the superword IR on the scalar chain,
 //!   one thread: the portable tier at the bottom of the ladder,
-//! * `superword+arena+threads`  — arenas plus the threaded block loop
+//! * `superword+arena+threads`  — arenas plus the threaded driver
 //!   (all cores),
 //! * `superword+arena+strided`  — the portable path over *strided*
 //!   operand views (padded leading dimensions on `A`, `B`, and `C`),
@@ -16,7 +16,7 @@
 //!   active vector ISA (AVX2/FMA, NEON, or the scalar reference), one
 //!   thread,
 //! * `simd+arena+threads`       — the chain plus arenas plus the threaded
-//!   block loop,
+//!   driver,
 //! * `simd+arena+strided`       — the chain path over strided views,
 //! * `native`                   — the ahead-of-time compiled `.so` tier
 //!   (C emitted from the superword tape, built by the host toolchain,
@@ -24,7 +24,7 @@
 //!   measures the simd chain instead (`"native_available"` in the JSON
 //!   says which),
 //! * `native+arena+threads`     — the native tier plus arenas plus the
-//!   threaded block loop: the default production path.
+//!   threaded driver: the default production path.
 //!
 //! A second section, `serve_throughput`, measures the `exo-serve` layer on
 //! an overhead-dominated workload: 64 small mixed-shape problems run three

@@ -1100,86 +1100,9 @@ mod tests {
         assert!(c.contains("float Cb[12 * 8];"));
     }
 
-    /// The staged laneq-shaped micro-kernel every scheduled kernel lowers
-    /// to (same staging as the superword tests): `C` tile and operand
-    /// stages in registers, packed FMA runs in the `KC` loop.
+    /// The staged laneq-shaped micro-kernel of the superword tests.
     fn staged_superword(mr: i64, nr: i64) -> SuperwordKernel {
-        let p = proc("ukr_staged")
-            .size_arg("KC")
-            .tensor_arg("Ac", ScalarType::F32, vec![var("KC"), int(mr)], MemSpace::Dram)
-            .tensor_arg("Bc", ScalarType::F32, vec![var("KC"), int(nr)], MemSpace::Dram)
-            .tensor_arg("C", ScalarType::F32, vec![int(nr * mr)], MemSpace::Dram)
-            .body(vec![
-                alloc("Ct", ScalarType::F32, vec![int(nr), int(mr)], MemSpace::Neon),
-                alloc("Ra", ScalarType::F32, vec![int(mr)], MemSpace::Neon),
-                alloc("Rb", ScalarType::F32, vec![int(nr)], MemSpace::Neon),
-                for_(
-                    "j",
-                    0,
-                    nr,
-                    vec![for_(
-                        "i",
-                        0,
-                        mr,
-                        vec![assign(
-                            "Ct",
-                            vec![var("j"), var("i")],
-                            read("C", vec![Expr::add(Expr::mul(var("j"), int(mr)), var("i"))]),
-                        )],
-                    )],
-                ),
-                for_(
-                    "k",
-                    0,
-                    var("KC"),
-                    vec![
-                        for_(
-                            "i",
-                            0,
-                            mr,
-                            vec![assign("Ra", vec![var("i")], read("Ac", vec![var("k"), var("i")]))],
-                        ),
-                        for_(
-                            "j",
-                            0,
-                            nr,
-                            vec![assign("Rb", vec![var("j")], read("Bc", vec![var("k"), var("j")]))],
-                        ),
-                        for_(
-                            "j",
-                            0,
-                            nr,
-                            vec![for_(
-                                "i",
-                                0,
-                                mr,
-                                vec![reduce(
-                                    "Ct",
-                                    vec![var("j"), var("i")],
-                                    Expr::mul(read("Ra", vec![var("i")]), read("Rb", vec![var("j")])),
-                                )],
-                            )],
-                        ),
-                    ],
-                ),
-                for_(
-                    "j",
-                    0,
-                    nr,
-                    vec![for_(
-                        "i",
-                        0,
-                        mr,
-                        vec![assign(
-                            "C",
-                            vec![Expr::add(Expr::mul(var("j"), int(mr)), var("i"))],
-                            read("Ct", vec![var("j"), var("i")]),
-                        )],
-                    )],
-                ),
-            ])
-            .build();
-        crate::exec::compile(&p).unwrap().to_tape().unwrap().to_superword().unwrap()
+        crate::superword::tests::staged_kernels(mr, nr).2
     }
 
     #[test]

@@ -738,7 +738,7 @@ mod tests {
     /// compiler fuses), compiled for the active ISA, with its interpreter
     /// oracle.
     fn staged_kernels() -> (CompiledKernel, Arc<SuperwordKernel>, SimdKernel) {
-        let (compiled, _, sw) = staged_superword();
+        let (compiled, _, sw) = staged_superword(8, 4);
         let sw = Arc::new(sw);
         let simd = SimdKernel::compile(Arc::clone(&sw)).expect("the scalar floor always compiles");
         (compiled, sw, simd)

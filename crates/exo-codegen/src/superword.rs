@@ -757,13 +757,12 @@ pub(crate) mod tests {
     use exo_ir::builder::*;
     use exo_ir::{Expr, MemSpace, ScalarType};
 
-    /// A hand-staged 8x4 laneq-shaped kernel with the structure every
+    /// A hand-staged `mr x nr` laneq-shaped kernel with the structure every
     /// scheduled micro-kernel lowers to: the `C` tile and both operand
     /// stages live in locals (registers), so the tape scalarises them into
     /// exactly the lane runs the superword pass re-rolls.
-    pub(crate) fn staged_kernels() -> (CompiledKernel, TapeKernel, SuperwordKernel) {
-        let (mr, nr) = (8i64, 4i64);
-        let p = proc("ukr_8x4_staged")
+    pub(crate) fn staged_kernels(mr: i64, nr: i64) -> (CompiledKernel, TapeKernel, SuperwordKernel) {
+        let p = proc(format!("ukr_{mr}x{nr}_staged"))
             .size_arg("KC")
             .tensor_arg("Ac", ScalarType::F32, vec![var("KC"), int(mr)], MemSpace::Dram)
             .tensor_arg("Bc", ScalarType::F32, vec![var("KC"), int(nr)], MemSpace::Dram)
@@ -899,7 +898,7 @@ pub(crate) mod tests {
 
     #[test]
     fn superword_matches_the_interpreter_bit_for_bit() {
-        let (compiled, _, sw) = staged_kernels();
+        let (compiled, _, sw) = staged_kernels(8, 4);
         let (mr, nr, kc) = (8usize, 4usize, 29usize);
         let a: Vec<f32> = (0..kc * mr).map(|i| ((i * 7 + 3) % 13) as f32 * 0.5 - 2.0).collect();
         let b: Vec<f32> = (0..kc * nr).map(|i| ((i * 5 + 1) % 11) as f32 * 0.25 - 1.0).collect();
@@ -933,7 +932,7 @@ pub(crate) mod tests {
 
     #[test]
     fn packing_produces_whole_vector_ops() {
-        let (_, tape, sw) = staged_kernels();
+        let (_, tape, sw) = staged_kernels(8, 4);
         assert!(sw.vector_op_count() > 0, "the staged 8x4 kernel must pack");
         // Packing re-rolls lane runs, so the superword tape is much shorter
         // than the scalar one; the FMA stream packs completely.
@@ -943,7 +942,7 @@ pub(crate) mod tests {
 
     #[test]
     fn empty_kc_loops_skip_their_body() {
-        let (_, _, sw) = staged_kernels();
+        let (_, _, sw) = staged_kernels(8, 4);
         // kc = 0: the packed operands are empty, the KC loop never runs, and
         // the interval proof must skip its body rather than reject it.
         let mut c = vec![1.0f32; 32];
@@ -989,7 +988,7 @@ pub(crate) mod tests {
 
     #[test]
     fn written_tensors_and_argument_mismatches_are_rejected() {
-        let (_, _, sw) = staged_kernels();
+        let (_, _, sw) = staged_kernels(8, 4);
         assert!(!sw.writes_tensor(0) && !sw.writes_tensor(1) && sw.writes_tensor(2));
         let chain = scalar_chain(&sw);
         let a = vec![0.0f32; 8];
@@ -1006,7 +1005,7 @@ pub(crate) mod tests {
         // The superword rung's dispatch handle is the scalar chain's
         // `SimdDispatch`: it must agree with the one-shot run and prove
         // once per distinct input, not once per tile.
-        let (_, _, sw) = staged_kernels();
+        let (_, _, sw) = staged_kernels(8, 4);
         let chain = std::sync::Arc::new(scalar_chain(&sw));
         let mut dispatch = chain.dispatcher();
         let (mr, nr) = (8usize, 4usize);

@@ -18,7 +18,7 @@
 //!    once per shape family for the executor's lifetime);
 //! 3. small entries are dealt round-robin across the shared pool
 //!    ([`gemm_blis::ThreadPool::global`]), one shard per worker; large
-//!    entries keep the driver's internal `ic`/`jc` split.
+//!    entries keep the driver's internal split of the longer side.
 //!
 //! The result is **bit-identical to a sequential per-entry loop** over the
 //! same executor: kernel and blocking selection are deterministic per
@@ -51,8 +51,8 @@ use gemm_blis::{BlisGemm, GemmError, GemmExecutor, GemmProblem, GemmRunner, Gemm
 use crate::fault;
 
 /// Problems whose useful flops reach this threshold keep the driver's
-/// internal block-loop threading (the existing `ic`/`jc` split over the
-/// pool); smaller entries are cheaper to run whole, one per shard.
+/// internal threading (per-worker sub-problems over the longer of `m` and
+/// `n`); smaller entries are cheaper to run whole, one per shard.
 const LARGE_FLOP_THRESHOLD: u64 = 32_000_000;
 
 /// An ordered batch of GEMM problems, executed together by a
@@ -199,7 +199,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Runs one batch entry with panic isolation and one degradation retry.
 ///
 /// The first attempt goes through `runner` (the shard's amortised engine)
-/// when given, the driver's own path (block-loop threading for large
+/// when given, the driver's own path (its threaded split for large
 /// entries) otherwise. A panic is contained and resolved as
 /// [`GemmError::JobPanicked`]. Executional failures — contained panics and
 /// kernel errors — are retried once on the tier below the kernel's
@@ -262,7 +262,7 @@ fn run_entry(
 /// writing each entry's outcome into its `out` slot.
 ///
 /// Large entries (by [`LARGE_FLOP_THRESHOLD`]) run in submission order with
-/// the driver's own block-loop threading; small entries are dealt
+/// the driver's own threaded split; small entries are dealt
 /// round-robin over pool-worker shards, each shard reusing one
 /// [`gemm_blis::GemmRunner`] (arena + dispatch proof) across its entries.
 /// Shard runners are drawn from `scratch` when it holds detached warm

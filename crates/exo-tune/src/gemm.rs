@@ -29,7 +29,7 @@ pub struct TunedRun {
 /// supports — native (the ahead-of-time compiled artifact, once its
 /// background build has promoted) → simd (the closure chain of the active
 /// vector ISA) → superword — on the five-loop driver, and, when
-/// [`TunedGemm::with_threads`] raises the knob, its threaded block loop.
+/// [`TunedGemm::with_threads`] raises the knob, its per-worker split.
 /// The `EXO_BACKEND` environment override (`native|simd|superword`) is
 /// honored, so any tier is forceable for debugging. Use it through
 /// [`GemmExecutor::gemm`] like every other driver, or through
@@ -52,8 +52,8 @@ impl TunedGemm {
         TunedGemm { tuner, threads: 1 }
     }
 
-    /// Sets the worker-thread count the dispatch driver uses for its
-    /// parallel block loop (`0` = all cores, `1` = sequential). Thread
+    /// Sets the worker-thread count the dispatch driver splits each
+    /// problem over (`0` = all cores, `1` = sequential). Thread
     /// count never changes results: every `C` element is computed by
     /// exactly one worker in the sequential op order.
     #[must_use]
@@ -117,10 +117,11 @@ impl TunedGemm {
     ///
     /// # Errors
     ///
-    /// Returns [`TuneError::Gemm`] for inconsistent view shapes and
-    /// propagates search or generation failures.
+    /// Returns [`TuneError::Gemm`] carrying the driver's error for
+    /// inconsistent view shapes or a failed dispatch, and propagates search
+    /// or generation failures.
     pub fn execute(&self, problem: GemmProblem<'_>) -> Result<TunedRun, TuneError> {
-        let (m, n, k) = problem.dims().map_err(|e| TuneError::Gemm(e.to_string()))?;
+        let (m, n, k) = problem.dims()?;
         if m == 0 || n == 0 || k == 0 {
             // Nothing to tune: the driver handles the degenerate contract
             // (beta scaling, nothing else) with any kernel, and the
@@ -154,13 +155,7 @@ impl TunedGemm {
 
 impl GemmExecutor for TunedGemm {
     fn gemm(&self, problem: GemmProblem<'_>) -> Result<GemmStats, gemm_blis::GemmError> {
-        match self.execute(problem) {
-            Ok(run) => Ok(run.stats),
-            Err(TuneError::Gemm(what)) => Err(gemm_blis::GemmError::ShapeMismatch { what }),
-            Err(e) => {
-                Err(gemm_blis::GemmError::Backend { backend: "exo-tune".into(), message: e.to_string() })
-            }
-        }
+        Ok(self.execute(problem)?.stats)
     }
 }
 
@@ -250,6 +245,12 @@ mod tests {
             tuned.execute(GemmProblem::new(a.view(), b.view(), c.view_mut())),
             Err(TuneError::Gemm(_))
         ));
+        // As an executor it returns exactly the driver's error.
+        let blis = BlisGemm::new(gemm_blis::BlockingParams::carmel_defaults(8, 12))
+            .gemm(GemmProblem::new(a.view(), b.view(), c.view_mut()))
+            .unwrap_err();
+        assert!(matches!(blis, gemm_blis::GemmError::ShapeMismatch { .. }));
+        assert_eq!(tuned.gemm(GemmProblem::new(a.view(), b.view(), c.view_mut())), Err(blis));
     }
 
     #[test]

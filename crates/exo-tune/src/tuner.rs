@@ -129,7 +129,8 @@ impl Tuner {
     /// cannot be generated or evaluated, or the verdict cannot be persisted.
     pub fn tune(&self, m: usize, n: usize, k: usize) -> Result<TuneVerdict, TuneError> {
         if m == 0 || n == 0 || k == 0 {
-            return Err(TuneError::Gemm(format!("cannot tune the empty problem {m}x{n}x{k}")));
+            let what = format!("cannot tune the empty problem {m}x{n}x{k}");
+            return Err(TuneError::Gemm(gemm_blis::GemmError::ShapeMismatch { what }));
         }
         if let Some(verdict) = self.registry.verdict(m, n, k) {
             if verdict.evaluator == self.evaluator.name() {
@@ -223,7 +224,7 @@ impl Tuner {
     pub fn simulator(&self, options: SimOptions) -> Result<GemmSimulator, TuneError> {
         let shapes: Vec<(usize, usize)> = self.space.tile_shapes().iter().map(|t| (t.mr, t.nr)).collect();
         GemmSimulator::with_kernel_cache(self.core.clone(), options, self.registry.kernel_cache(), &shapes)
-            .map_err(|e| TuneError::Gemm(e.to_string()))
+            .map_err(TuneError::Gemm)
     }
 }
 

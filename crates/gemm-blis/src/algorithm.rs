@@ -16,14 +16,14 @@
 //! The driver is allocation-free in its loops: a
 //! [`crate::packing::PackArena`], the staged `C` tile, and a prove-once
 //! [`KernelDispatch`] per worker are allocated once per GEMM (or once per
-//! [`GemmRunner`]) and reused across every `(jc, pc, ic)` iteration, and
-//! one of the block loops can optionally be spread over a scoped thread
-//! pool ([`BlisGemm::with_threads`]): the `ic` loop by default (disjoint
-//! row blocks of `C`), or the `jc` loop when the problem is wide and short
-//! (large `n`, small `m` — disjoint nc-wide column blocks, each staged
-//! through a private dense copy). Either way every `C` element is computed
-//! by exactly one worker in the sequential op order, so the result is
-//! bit-for-bit identical for any thread count.
+//! [`GemmRunner`]) and reused across every `(jc, pc, ic)` iteration. There
+//! is one five-loop body, and threading ([`BlisGemm::with_threads`]) only
+//! decides what it runs on: the longer of `m` and `n` is split into
+//! tile-aligned ranges, and each worker of the shared pool solves its
+//! range as a sub-problem — rows of `A` or columns of `B`, and the matching
+//! window of `C` — on that body. Every `C` element is computed by exactly
+//! one worker over the same `kc` blocks in the same order, so the result
+//! is bit-for-bit identical for any thread count.
 //!
 //! Correctness for arbitrary (including fringe) problem sizes is the point;
 //! with generated kernels the same entry point is also the fast path.
@@ -155,13 +155,13 @@ pub fn naive_gemm(a: &Matrix, b: &Matrix, c: &mut Matrix) {
 /// A raw strided window onto the `C` operand, shared across the driver's
 /// workers.
 ///
-/// Why raw pointers: with arbitrary strides the row blocks of `C` are
-/// logically disjoint but *interleaved* in memory (e.g. a column-major or
-/// padded-submatrix `C`), so the safe `split_at_mut` partition of the old
-/// dense driver cannot express them. Each worker reads and writes only
-/// `(i, j)` elements of its own row range; [`MatMut`]'s constructor proved
-/// the stride map injective, so those element sets are disjoint and the
-/// shared pointer is race-free.
+/// Why raw pointers: with arbitrary strides the workers' blocks of `C` are
+/// logically disjoint but *interleaved* in memory (e.g. the row ranges of a
+/// column-major `C`, or the column ranges of a row-major one), so the safe
+/// `split_at_mut` partition cannot express them. Each worker reads and
+/// writes only the elements of its own [`RawMat::window`]; [`MatMut`]'s
+/// constructor proved the stride map injective, so disjoint windows are
+/// disjoint element sets and the shared pointer is race-free.
 #[derive(Clone, Copy)]
 struct RawMat {
     ptr: *mut f32,
@@ -171,10 +171,13 @@ struct RawMat {
     cols: usize,
 }
 
-// SAFETY: see the type docs — workers touch disjoint element sets, which
-// the driver guarantees by partitioning rows (or handing each worker a
-// private staging buffer).
+// SAFETY: a `RawMat` is a pointer plus strides; moving one to a worker
+// moves no element. Every access goes through the `unsafe` `load`/`store`,
+// whose callers own the elements they touch.
 unsafe impl Send for RawMat {}
+// SAFETY: shared `RawMat`s are only dereferenced through `load`/`store`,
+// and the driver hands each worker a disjoint window (see the type docs),
+// so no element is reached from two threads.
 unsafe impl Sync for RawMat {}
 
 impl RawMat {
@@ -184,9 +187,23 @@ impl RawMat {
         RawMat { ptr, row_stride, col_stride, rows, cols }
     }
 
-    fn of_dense(data: &mut [f32], rows: usize, cols: usize) -> Self {
-        debug_assert!(data.len() >= rows * cols);
-        RawMat { ptr: data.as_mut_ptr(), row_stride: cols, col_stride: 1, rows, cols }
+    /// The non-empty `rows x cols` window whose top-left corner is
+    /// `(row, col)`: the `C` of one worker's sub-problem.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is empty or does not fit inside this one.
+    fn window(self, row: usize, col: usize, rows: usize, cols: usize) -> Self {
+        assert!(
+            rows > 0 && cols > 0 && row + rows <= self.rows && col + cols <= self.cols,
+            "window ({row}+{rows}, {col}+{cols}) of a {}x{} C",
+            self.rows,
+            self.cols
+        );
+        // SAFETY: `(row, col)` is an element of this non-empty window, so
+        // the offset lands inside the storage the `MatMut` borrow covers.
+        let ptr = unsafe { self.ptr.add(row * self.row_stride + col * self.col_stride) };
+        RawMat { ptr, rows, cols, ..self }
     }
 
     /// # Safety
@@ -221,10 +238,9 @@ pub struct BlisGemm {
     /// Cache blocking parameters.
     pub blocking: BlockingParams,
     /// Maximum parallelism drawn from the shared worker pool
-    /// ([`ThreadPool::global`]) for the parallel block loop (`ic` rows by
-    /// default, `jc` columns for wide-and-short problems). `1` is fully
-    /// sequential; `0` means "the pool's full width" (the machine, or the
-    /// `EXO_THREADS` override).
+    /// ([`ThreadPool::global`]): the longer of `m` and `n` is split into up
+    /// to this many sub-problems. `1` is fully sequential; `0` means "the
+    /// pool's full width" (the machine, or the `EXO_THREADS` override).
     pub threads: usize,
     /// The micro-kernel the [`GemmExecutor`] entry point dispatches.
     kernel: KernelImpl,
@@ -258,9 +274,10 @@ impl BlisGemm {
         &self.kernel
     }
 
-    /// Sets the worker-thread count for the parallel block loop (`0` = all
-    /// cores). Wide-and-short problems split the `jc` column loop, all
-    /// others the `ic` row loop; the result is identical either way.
+    /// Sets the worker-thread count (`0` = all cores). The longer of `m`
+    /// and `n` is split into up to this many tile-aligned ranges, each
+    /// solved as a sub-problem by the sequential five-loop body; the
+    /// result is identical for any count.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -272,13 +289,7 @@ impl BlisGemm {
     /// dispatch handle are allocated here, once, and reused by every
     /// [`GemmRunner::gemm`] call.
     pub fn runner(&self) -> GemmRunner<'_> {
-        let (mr, nr) = (self.kernel.mr, self.kernel.nr);
-        GemmRunner {
-            driver: self,
-            dispatch: self.kernel.dispatcher(),
-            arena: PackArena::empty(),
-            c_tile: vec![0.0f32; mr * nr],
-        }
+        GemmRunner { driver: self, scratch: RunnerScratch::new(&self.kernel) }
     }
 
     /// Re-attaches detached runner scratch ([`GemmRunner::into_scratch`])
@@ -300,7 +311,7 @@ impl BlisGemm {
         };
         let dispatch = if matches { dispatch } else { self.kernel.dispatcher() };
         c_tile.resize(self.kernel.mr * self.kernel.nr, 0.0);
-        GemmRunner { driver: self, dispatch, arena, c_tile }
+        GemmRunner { driver: self, scratch: RunnerScratch { dispatch, arena, c_tile } }
     }
 
     /// Solves a [`GemmProblem`] with an explicitly supplied micro-kernel
@@ -317,297 +328,62 @@ impl BlisGemm {
     /// Returns [`GemmError::ShapeMismatch`] if the view dimensions are
     /// inconsistent, and propagates micro-kernel failures.
     pub fn gemm_with(&self, kernel: &KernelImpl, problem: GemmProblem<'_>) -> Result<GemmStats, GemmError> {
-        let (m, n, k) = problem.dims()?;
-        let a = problem.op_a.apply(problem.a);
-        let b = problem.op_b.apply(problem.b);
-        let (alpha, beta) = (problem.alpha, problem.beta);
-        let mut c = problem.c;
-        let flop_count = GemmStats::flops_for(m, n, k, alpha);
-        let stats = |threads: usize| GemmStats {
-            m,
-            n,
-            k,
-            flop_count,
-            kernel: kernel.name.clone(),
-            threads,
-            pool_workers: if threads > 1 { ThreadPool::global().workers() } else { 0 },
-            batched: false,
-            degraded: false,
-        };
-        if m == 0 || n == 0 {
-            return Ok(stats(1));
-        }
-        if k == 0 || alpha == 0.0 {
-            // Degenerate product: C = beta * C, honoring beta == 0 as
-            // "never read".
-            scale_c(&mut c, beta);
-            return Ok(stats(1));
-        }
-        let threads = self.gemm_arena(kernel, a, b, &mut c, alpha, beta)?;
-        Ok(stats(threads))
+        solve(kernel, problem, |a, b, c, alpha, beta| self.fan_out(kernel, a, b, c, alpha, beta))
     }
 
-    /// The zero-allocation hot path: packing buffers, the `C` scratch tile,
-    /// and one prove-once kernel dispatch handle per worker are allocated
-    /// once up front, and the `ic` (or `jc`) loop optionally fans out over
-    /// scoped threads. Returns the worker count used.
-    fn gemm_arena(
+    /// The parallel rule: split the longer of `m` and `n` (so workers
+    /// duplicate only the packing of the smaller operand) into
+    /// `min(threads, panels)` tile-aligned ranges, and solve each range's
+    /// sub-problem — its rows of `A` or columns of `B`, and the matching
+    /// window of `C` — with private scratch on the sequential five-loop
+    /// body. Returns the worker count.
+    ///
+    /// Every `C` element lies in exactly one window and still sees the
+    /// same `kc` blocks in the same order, so the result is bit-for-bit
+    /// identical for any thread count.
+    fn fan_out(
         &self,
         kernel: &KernelImpl,
         a: MatRef<'_>,
         b: MatRef<'_>,
-        c: &mut MatMut<'_>,
+        mut c: MatMut<'_>,
         alpha: f32,
         beta: f32,
     ) -> Result<usize, GemmError> {
         let (m, n, k) = (a.rows(), b.cols(), a.cols());
-        let BlockingParams { mc, kc, nc, .. } = self.blocking;
-        let (mr, nr) = (kernel.mr, kernel.nr);
         let threads = match self.threads {
             0 => ThreadPool::global().workers(),
             t => t,
         };
-
-        // Pick the parallel loop. The ic loop is the default (disjoint row
-        // ranges of C), but a wide-and-short problem (large n, small m) has
-        // too few ic blocks to occupy the pool — there the jc loop over nc
-        // column blocks offers more parallelism.
-        let blocks = ic_blocks(m, mc);
-        let col_blocks = jc_blocks(n, nc);
-        if threads > 1 && col_blocks.len() > blocks.len() && blocks.len() < threads {
-            return self.gemm_arena_jc(kernel, a, b, c, &blocks, &col_blocks, alpha, beta, threads);
-        }
-
-        // Packing arena sized once at the blocking-derived maxima, clamped
-        // to the problem; split-borrowed so the packed Bc prefix can stay
-        // live while Ac blocks are repacked. Panels are shaped by the
-        // *kernel's* register tile, which the blocking's mr/nr need not
-        // match (callers may pair a generic blocking with any kernel), so
-        // the arena is sized for the tile that will actually be packed.
-        let tile_blocking = BlockingParams { mr, nr, ..self.blocking };
-        let mut arena = PackArena::for_problem(&tile_blocking, m, n, k);
-        let c_raw = RawMat::of(c);
-
-        // Fully sequential run: one scratch set, the shared five-loop body.
-        if threads <= 1 || blocks.len() <= 1 {
-            let (a_buf, b_buf) = arena.buffers();
-            let mut c_tile = vec![0.0f32; mr * nr];
-            let mut dispatch = kernel.dispatcher();
-            // SAFETY: sequential — this is the only live user of the C
-            // pointer, and all indices are in bounds.
-            unsafe {
-                gemm_arena_sequential(
-                    &self.blocking,
-                    &mut dispatch,
-                    a_buf,
-                    b_buf,
-                    &mut c_tile,
-                    a,
-                    b,
-                    c_raw,
-                    alpha,
-                    beta,
-                )?;
-            }
+        let split_rows = m >= n;
+        let (extent, tile) = if split_rows { (m, kernel.mr) } else { (n, kernel.nr) };
+        let ranges = tile_ranges(extent, tile, threads);
+        let c_raw = RawMat::of(&mut c);
+        let worker = |(start, len): (usize, usize)| {
+            let (a, b, c) = if split_rows {
+                (a.submatrix(start, 0, len, k), b, c_raw.window(start, 0, len, n))
+            } else {
+                (a, b.submatrix(0, start, k, len), c_raw.window(0, start, m, len))
+            };
+            // SAFETY: `c` is this worker's window of the exclusively
+            // borrowed `C`; the ranges are disjoint, so no other worker
+            // touches its elements.
+            unsafe { RunnerScratch::new(kernel).sequential(&self.blocking, a, b, c, alpha, beta) }
+        };
+        // One range runs on the caller: a sequential GEMM is no pool job.
+        if let [range] = ranges[..] {
+            worker(range)?;
             return Ok(1);
         }
-
-        // Threaded run: one private A-pack/C-tile/dispatch triple per
-        // worker, allocated once per GEMM, and the ic loop of every
-        // (jc, pc) iteration fanned out over the shared pool's recycled
-        // workers — no OS threads are spawned here.
-        let a_cap = arena.a_capacity();
-        let (_, b_buf) = arena.buffers();
-        let workers = threads.min(blocks.len());
-        let mut worker_state: Vec<(Vec<f32>, Vec<f32>, KernelDispatch)> =
-            (0..workers).map(|_| (vec![0.0f32; a_cap], vec![0.0f32; mr * nr], kernel.dispatcher())).collect();
-        // Loop L1: columns of C / B.
-        let mut jc = 0;
-        while jc < n {
-            let nc_eff = nc.min(n - jc);
-            // Loop L2: the k dimension. beta belongs to the first k-block
-            // only; later blocks accumulate.
-            let mut pc = 0;
-            while pc < k {
-                let kc_eff = kc.min(k - pc);
-                let first_k = pc == 0;
-                let b_len = nc_eff.div_ceil(nr) * kc_eff * nr;
-                pack_b_into(&mut b_buf[..b_len], b, pc, jc, kc_eff, nc_eff, nr);
-                let packed_b = &b_buf[..b_len];
-
-                // Loop L3: rows of C / A — the pooled loop. Deal the ic
-                // blocks round-robin to the workers; each block is a
-                // disjoint row range of C.
-                let mut groups: Vec<Vec<(usize, usize)>> = vec![Vec::new(); workers];
-                for (idx, &blk) in blocks.iter().enumerate() {
-                    groups[idx % workers].push(blk);
-                }
-                let mut results: Vec<Result<(), GemmError>> = vec![Ok(()); workers];
-                let jobs: Vec<PoolJob<'_>> = groups
-                    .into_iter()
-                    .zip(worker_state.iter_mut())
-                    .zip(results.iter_mut())
-                    .map(|((group, (a_buf, c_tile, dispatch)), result)| {
-                        Box::new(move || {
-                            *result = group.into_iter().try_for_each(|(ic, mc_eff)| {
-                                // SAFETY: each worker owns the disjoint row
-                                // ranges dealt to it; MatMut proved the
-                                // stride map injective, so their C element
-                                // sets are disjoint.
-                                unsafe {
-                                    run_ic_block(
-                                        dispatch, a, ic, pc, mc_eff, kc_eff, packed_b, nc_eff, jc, c_raw,
-                                        alpha, beta, first_k, a_buf, c_tile,
-                                    )
-                                }
-                            });
-                        }) as PoolJob<'_>
-                    })
-                    .collect();
-                ThreadPool::global().scope_run(jobs);
-                results.into_iter().collect::<Result<(), GemmError>>()?;
-                pc += kc_eff;
-            }
-            jc += nc_eff;
-        }
-        Ok(workers)
-    }
-
-    /// The jc-parallel arena path: nc-wide column blocks of `C` are dealt
-    /// out to scoped workers, each with a private packing arena, dispatch
-    /// handle, and a private dense copy of its column block. Returns the
-    /// worker count used.
-    ///
-    /// A column block of a strided `C` is not generally contiguous; each
-    /// worker therefore stages its block through a dense `m x nc_eff` copy
-    /// (copied in before the block's loops, copied back after the join —
-    /// O(m·n) traffic total, negligible against the O(m·n·k) compute).
-    /// Within a block the pc/ic/jr/ir loops run in exactly the sequential
-    /// order, and every `C` element belongs to exactly one block, so the
-    /// result is bit-for-bit identical for any thread count. `beta` is
-    /// applied inside the block loops (first k-block), so the staged copy
-    /// carries original `C` values — which are never read when
-    /// `beta == 0`.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_arena_jc(
-        &self,
-        kernel: &KernelImpl,
-        a: MatRef<'_>,
-        b: MatRef<'_>,
-        c: &mut MatMut<'_>,
-        ic_blocks: &[(usize, usize)],
-        col_blocks: &[(usize, usize)],
-        alpha: f32,
-        beta: f32,
-        threads: usize,
-    ) -> Result<usize, GemmError> {
-        let (m, n, k) = (a.rows(), b.cols(), a.cols());
-        let BlockingParams { kc, nc, .. } = self.blocking;
-        let (mr, nr) = (kernel.mr, kernel.nr);
-        let tile_blocking = BlockingParams { mr, nr, ..self.blocking };
-
-        // Stage every column block into a dense private copy up front
-        // (memcpy per row when C's column stride is unit — the common
-        // row-major case — scalar walk otherwise).
-        let c_ro = c.rb();
-        let mut staged: Vec<(usize, usize, Vec<f32>)> = col_blocks
+        let mut results: Vec<Result<(), GemmError>> = vec![Ok(()); ranges.len()];
+        let jobs: Vec<PoolJob<'_>> = ranges
             .iter()
-            .map(|&(jc, nc_eff)| {
-                let mut cols = vec![0.0f32; m * nc_eff];
-                for i in 0..m {
-                    let dst = &mut cols[i * nc_eff..(i + 1) * nc_eff];
-                    if let Some(src) = c_ro.contiguous_row(i, jc, nc_eff) {
-                        dst.copy_from_slice(src);
-                    } else {
-                        for (j, slot) in dst.iter_mut().enumerate() {
-                            *slot = c_ro.get(i, jc + j);
-                        }
-                    }
-                }
-                (jc, nc_eff, cols)
-            })
-            .collect();
-
-        // Deal blocks round-robin to up to `threads` workers; each worker
-        // owns disjoint `&mut` block entries, so the jobs need no unsafe
-        // sharing of C itself. The jobs run on the shared pool's recycled
-        // workers (plus this thread helping) — no OS threads are spawned.
-        let workers = threads.min(staged.len());
-        let mut groups: Vec<Vec<&mut (usize, usize, Vec<f32>)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (idx, blk) in staged.iter_mut().enumerate() {
-            groups[idx % workers].push(blk);
-        }
-        let mut results: Vec<Result<(), GemmError>> = vec![Ok(()); workers];
-        let jobs: Vec<PoolJob<'_>> = groups
-            .into_iter()
             .zip(results.iter_mut())
-            .map(|(group, result)| {
-                Box::new(move || {
-                    *result = (|| -> Result<(), GemmError> {
-                        // Private per-worker arena and dispatch handle,
-                        // sized for one column block, allocated once per
-                        // GEMM.
-                        let mut arena = PackArena::for_problem(&tile_blocking, m, nc.min(n), k);
-                        let (a_buf, b_buf) = arena.buffers();
-                        let mut c_tile = vec![0.0f32; mr * nr];
-                        let mut dispatch = kernel.dispatcher();
-                        for (jc, nc_eff, cols) in group {
-                            let (jc, nc_eff) = (*jc, *nc_eff);
-                            let cols_raw = RawMat::of_dense(cols, m, nc_eff);
-                            let mut pc = 0;
-                            while pc < k {
-                                let kc_eff = kc.min(k - pc);
-                                let b_len = nc_eff.div_ceil(nr) * kc_eff * nr;
-                                pack_b_into(&mut b_buf[..b_len], b, pc, jc, kc_eff, nc_eff, nr);
-                                for &(ic, mc_eff) in ic_blocks {
-                                    // SAFETY: `cols_raw` points into this
-                                    // worker's private staging buffer.
-                                    unsafe {
-                                        run_ic_block(
-                                            &mut dispatch,
-                                            a,
-                                            ic,
-                                            pc,
-                                            mc_eff,
-                                            kc_eff,
-                                            &b_buf[..b_len],
-                                            nc_eff,
-                                            0,
-                                            cols_raw,
-                                            alpha,
-                                            beta,
-                                            pc == 0,
-                                            a_buf,
-                                            &mut c_tile,
-                                        )?;
-                                    }
-                                }
-                                pc += kc_eff;
-                            }
-                        }
-                        Ok(())
-                    })();
-                }) as PoolJob<'_>
-            })
+            .map(|(&range, result)| Box::new(move || *result = worker(range)) as PoolJob<'_>)
             .collect();
         ThreadPool::global().scope_run(jobs);
         results.into_iter().collect::<Result<(), GemmError>>()?;
-
-        // Scatter the finished column blocks back into C (memcpy per row
-        // for unit column stride, scalar walk otherwise).
-        for (jc, nc_eff, cols) in &staged {
-            for i in 0..m {
-                let src = &cols[i * nc_eff..(i + 1) * nc_eff];
-                if let Some(dst) = c.contiguous_row_mut(i, *jc, *nc_eff) {
-                    dst.copy_from_slice(src);
-                } else {
-                    for (j, &v) in src.iter().enumerate() {
-                        c.set(i, jc + j, v);
-                    }
-                }
-            }
-        }
-        Ok(workers.max(1))
+        Ok(ranges.len())
     }
 }
 
@@ -617,21 +393,19 @@ impl GemmExecutor for BlisGemm {
     }
 }
 
-/// An amortised sequential GEMM runner: one packing arena (sized at the
-/// driver's blocking maxima, so any problem fits), one staged `C` tile, and
-/// one prove-once [`KernelDispatch`] handle, reused across every problem
-/// passed to [`GemmRunner::gemm`].
+/// An amortised sequential GEMM runner: one packing arena (grown to the
+/// largest problem it has seen, at the driver's blocking), one staged `C`
+/// tile, and one prove-once [`KernelDispatch`] handle, reused across every
+/// problem passed to [`GemmRunner::gemm`].
 ///
 /// This is the per-shard engine of the `exo-serve` batch executor: where
 /// [`BlisGemm::gemm`] pays arena allocation and dispatch proof per call, a
 /// runner pays them once per batch. Results are bit-identical to
-/// [`BlisGemm::gemm`] with `threads = 1` — same packing, same op order.
+/// [`BlisGemm::gemm`] for any thread count — same packing, same op order.
 /// Built with [`BlisGemm::runner`].
 pub struct GemmRunner<'d> {
     driver: &'d BlisGemm,
-    dispatch: KernelDispatch,
-    arena: PackArena,
-    c_tile: Vec<f32>,
+    scratch: RunnerScratch,
 }
 
 /// The owned state of a [`GemmRunner`] — packing arena, staged `C` tile,
@@ -642,11 +416,90 @@ pub struct GemmRunner<'d> {
 /// `exo-serve` batch executor builds one driver borrow per batch). The
 /// scratch is the movable part: [`GemmRunner::into_scratch`] detaches it,
 /// [`BlisGemm::runner_with`] re-attaches it, and the arena capacity plus
-/// the memoised dispatch proofs survive the round trip.
+/// the memoised dispatch proofs survive the round trip. Each worker of a
+/// threaded [`BlisGemm::gemm`] owns one, too.
 pub struct RunnerScratch {
     dispatch: KernelDispatch,
     arena: PackArena,
     c_tile: Vec<f32>,
+}
+
+impl RunnerScratch {
+    /// Fresh scratch for `kernel`: an empty arena that grows on first use.
+    fn new(kernel: &KernelImpl) -> Self {
+        RunnerScratch {
+            dispatch: kernel.dispatcher(),
+            arena: PackArena::empty(),
+            c_tile: vec![0.0f32; kernel.mr * kernel.nr],
+        }
+    }
+
+    /// The sequential five-loop body: loops L1/L2 packing `Bc` blocks,
+    /// then every `ic` block through [`run_ic_block`]. Every path of the
+    /// driver ends here, so all of them produce identical bits by
+    /// construction.
+    ///
+    /// # Safety
+    ///
+    /// `c` must point to live storage covering its declared extent, with no
+    /// other thread accessing any of its elements during the call.
+    unsafe fn sequential(
+        &mut self,
+        blocking: &BlockingParams,
+        a: MatRef<'_>,
+        b: MatRef<'_>,
+        c: RawMat,
+        alpha: f32,
+        beta: f32,
+    ) -> Result<(), GemmError> {
+        let (m, n, k) = (a.rows(), b.cols(), a.cols());
+        let BlockingParams { mc, kc, nc, .. } = *blocking;
+        let (mr, nr) = (self.dispatch.kernel().mr, self.dispatch.kernel().nr);
+        // Panels are shaped by the *kernel's* register tile, which the
+        // blocking's mr/nr need not match (callers may pair a generic
+        // blocking with any kernel), so the arena is sized for the tile
+        // that will actually be packed.
+        self.arena.ensure_for_problem(&BlockingParams { mr, nr, ..*blocking }, m, n, k);
+        let (a_buf, b_buf) = self.arena.buffers();
+        let mut jc = 0;
+        while jc < n {
+            let nc_eff = nc.min(n - jc);
+            let mut pc = 0;
+            while pc < k {
+                let kc_eff = kc.min(k - pc);
+                let b_len = nc_eff.div_ceil(nr) * kc_eff * nr;
+                pack_b_into(&mut b_buf[..b_len], b, pc, jc, kc_eff, nc_eff, nr);
+                let mut ic = 0;
+                while ic < m {
+                    let mc_eff = mc.min(m - ic);
+                    // SAFETY: forwarded from the caller — exclusive C access.
+                    unsafe {
+                        run_ic_block(
+                            &mut self.dispatch,
+                            a,
+                            ic,
+                            pc,
+                            mc_eff,
+                            kc_eff,
+                            &b_buf[..b_len],
+                            nc_eff,
+                            jc,
+                            c,
+                            alpha,
+                            beta,
+                            pc == 0,
+                            a_buf,
+                            &mut self.c_tile,
+                        )?;
+                    }
+                    ic += mc_eff;
+                }
+                pc += kc_eff;
+            }
+            jc += nc_eff;
+        }
+        Ok(())
+    }
 }
 
 impl GemmRunner<'_> {
@@ -654,7 +507,7 @@ impl GemmRunner<'_> {
     /// re-attachment (to the same or an equivalent driver) with
     /// [`BlisGemm::runner_with`].
     pub fn into_scratch(self) -> RunnerScratch {
-        RunnerScratch { dispatch: self.dispatch, arena: self.arena, c_tile: self.c_tile }
+        self.scratch
     }
 
     /// Solves one problem on the calling thread with the reused scratch.
@@ -664,120 +517,69 @@ impl GemmRunner<'_> {
     /// Same contract as [`BlisGemm::gemm`]: [`GemmError::ShapeMismatch`]
     /// for inconsistent dimensions, micro-kernel failures propagated.
     pub fn gemm(&mut self, problem: GemmProblem<'_>) -> Result<GemmStats, GemmError> {
-        let (m, n, k) = problem.dims()?;
-        let a = problem.op_a.apply(problem.a);
-        let b = problem.op_b.apply(problem.b);
-        let (alpha, beta) = (problem.alpha, problem.beta);
-        let mut c = problem.c;
-        let stats = GemmStats {
-            m,
-            n,
-            k,
-            flop_count: GemmStats::flops_for(m, n, k, alpha),
-            kernel: self.driver.kernel.name.clone(),
-            threads: 1,
-            pool_workers: 0,
-            batched: false,
-            degraded: false,
-        };
-        if m == 0 || n == 0 {
-            return Ok(stats);
-        }
-        if k == 0 || alpha == 0.0 {
-            scale_c(&mut c, beta);
-            return Ok(stats);
-        }
-        let c_raw = RawMat::of(&mut c);
-        let tile_blocking =
-            BlockingParams { mr: self.driver.kernel.mr, nr: self.driver.kernel.nr, ..self.driver.blocking };
-        self.arena.ensure_for_problem(&tile_blocking, m, n, k);
-        let (a_buf, b_buf) = self.arena.buffers();
-        // SAFETY: `c_raw` wraps the problem's exclusively borrowed C view;
-        // this sequential call is its only user.
-        unsafe {
-            gemm_arena_sequential(
-                &self.driver.blocking,
-                &mut self.dispatch,
-                a_buf,
-                b_buf,
-                &mut self.c_tile,
-                a,
-                b,
-                c_raw,
-                alpha,
-                beta,
-            )?;
-        }
-        Ok(stats)
+        let (driver, scratch) = (self.driver, &mut self.scratch);
+        solve(&driver.kernel, problem, |a, b, mut c, alpha, beta| {
+            // SAFETY: `c` is the problem's exclusively borrowed C view; this
+            // sequential call is its only user.
+            unsafe { scratch.sequential(&driver.blocking, a, b, RawMat::of(&mut c), alpha, beta)? };
+            Ok(1)
+        })
     }
 }
 
-/// The sequential five-loop body over pre-allocated scratch: loops L1/L2
-/// packing `Bc` blocks, then every ic block through [`run_ic_block`].
-/// Shared by the single-thread arena path and [`GemmRunner`], so both
-/// produce identical bits by construction.
-///
-/// # Safety
-///
-/// `c_raw` must point to live storage covering its declared extent, with no
-/// other thread accessing any of its elements during the call, and the
-/// scratch buffers must be sized for the blocking/kernel pair (see
-/// [`PackArena::for_problem`]).
-#[allow(clippy::too_many_arguments)]
-unsafe fn gemm_arena_sequential(
-    blocking: &BlockingParams,
-    dispatch: &mut KernelDispatch,
-    a_buf: &mut [f32],
-    b_buf: &mut [f32],
-    c_tile: &mut [f32],
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    c_raw: RawMat,
-    alpha: f32,
-    beta: f32,
-) -> Result<(), GemmError> {
-    let (m, n, k) = (a.rows(), b.cols(), a.cols());
-    let BlockingParams { mc, kc, nc, .. } = *blocking;
-    let nr = dispatch.kernel().nr;
-    let mut jc = 0;
-    while jc < n {
-        let nc_eff = nc.min(n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kc_eff = kc.min(k - pc);
-            let first_k = pc == 0;
-            let b_len = nc_eff.div_ceil(nr) * kc_eff * nr;
-            pack_b_into(&mut b_buf[..b_len], b, pc, jc, kc_eff, nc_eff, nr);
-            let mut ic = 0;
-            while ic < m {
-                let mc_eff = mc.min(m - ic);
-                // SAFETY: forwarded from the caller — exclusive C access.
-                unsafe {
-                    run_ic_block(
-                        dispatch,
-                        a,
-                        ic,
-                        pc,
-                        mc_eff,
-                        kc_eff,
-                        &b_buf[..b_len],
-                        nc_eff,
-                        jc,
-                        c_raw,
-                        alpha,
-                        beta,
-                        first_k,
-                        a_buf,
-                        c_tile,
-                    )?;
-                }
-                ic += mc_eff;
-            }
-            pc += kc_eff;
-        }
-        jc += nc_eff;
-    }
-    Ok(())
+/// The prologue every entry point shares: checks the dimensions, applies
+/// `op(A)`/`op(B)`, settles the degenerate problems (nothing to do for an
+/// empty `C`; `C = beta * C` when `k = 0` or `alpha = 0`), and otherwise
+/// hands the operands to `blocked`, which returns its worker count.
+fn solve<'p>(
+    kernel: &KernelImpl,
+    problem: GemmProblem<'p>,
+    blocked: impl FnOnce(MatRef<'p>, MatRef<'p>, MatMut<'p>, f32, f32) -> Result<usize, GemmError>,
+) -> Result<GemmStats, GemmError> {
+    let (m, n, k) = problem.dims()?;
+    let a = problem.op_a.apply(problem.a);
+    let b = problem.op_b.apply(problem.b);
+    let (alpha, beta) = (problem.alpha, problem.beta);
+    let mut c = problem.c;
+    let threads = if m == 0 || n == 0 {
+        1
+    } else if k == 0 || alpha == 0.0 {
+        // Degenerate product: C = beta * C, honoring beta == 0 as "never
+        // read".
+        scale_c(&mut c, beta);
+        1
+    } else {
+        blocked(a, b, c, alpha, beta)?
+    };
+    Ok(GemmStats {
+        m,
+        n,
+        k,
+        flop_count: GemmStats::flops_for(m, n, k, alpha),
+        kernel: kernel.name.clone(),
+        threads,
+        pool_workers: if threads > 1 { ThreadPool::global().workers() } else { 0 },
+        batched: false,
+        degraded: false,
+    })
+}
+
+/// The worker ranges of a split axis: `min(threads, panels)` consecutive
+/// `(start, len)` ranges of `extent`, each a whole number of `tile`-wide
+/// panels (only the last may end in the fringe panel), with panel counts
+/// differing by at most one.
+fn tile_ranges(extent: usize, tile: usize, threads: usize) -> Vec<(usize, usize)> {
+    let panels = extent.div_ceil(tile);
+    let workers = threads.clamp(1, panels);
+    let (base, extra) = (panels / workers, panels % workers);
+    let mut start = 0;
+    (0..workers)
+        .map(|w| {
+            let len = ((base + usize::from(w < extra)) * tile).min(extent - start);
+            start += len;
+            (start - len, len)
+        })
+        .collect()
 }
 
 /// `C = beta * C` in place, honoring `beta == 0` as "never read".
@@ -807,32 +609,6 @@ fn staged_c_value(stored: f32, beta: f32, first_k_block: bool) -> f32 {
     }
 }
 
-/// Splits an extent into step-sized `(start, len)` blocks, the last one
-/// possibly short — the block structure of both parallel loops.
-fn blocks_of(extent: usize, step: usize) -> Vec<(usize, usize)> {
-    let mut blocks = Vec::with_capacity(extent.div_ceil(step.max(1)));
-    let mut start = 0;
-    while start < extent {
-        let len = step.min(extent - start);
-        blocks.push((start, len));
-        start += len;
-    }
-    blocks
-}
-
-/// The `ic` block starts of the L3 loop. Each block owns a disjoint row
-/// range of `C`, so any partition of the blocks over workers computes
-/// bit-identical results.
-fn ic_blocks(m: usize, mc: usize) -> Vec<(usize, usize)> {
-    blocks_of(m, mc)
-}
-
-/// The `jc` block starts of the L1 loop: disjoint nc-wide column ranges of
-/// `C`, the unit of work of the jc-parallel path.
-fn jc_blocks(n: usize, nc: usize) -> Vec<(usize, usize)> {
-    blocks_of(n, nc)
-}
-
 /// Loops L4/L5 for one `ic` block: pack the `op(A)` block (scaled by
 /// `alpha`) into `a_buf`, then run the micro-kernel over every `(jr, ir)`
 /// tile, staging each (possibly fringe) `C` tile through `c_tile` and
@@ -842,9 +618,8 @@ fn jc_blocks(n: usize, nc: usize) -> Vec<(usize, usize)> {
 ///
 /// `c` must point to live storage covering its declared `rows x cols`
 /// extent, and no other thread may concurrently access any `C` element with
-/// row in `[ic, ic + mc_eff)` — the driver guarantees this by partitioning
-/// ic blocks over workers (or by handing each worker a private staging
-/// buffer).
+/// row in `[ic, ic + mc_eff)` — the driver guarantees this by handing each
+/// worker a disjoint window of `C`.
 #[allow(clippy::too_many_arguments)]
 unsafe fn run_ic_block(
     dispatch: &mut KernelDispatch,
@@ -1108,32 +883,54 @@ mod tests {
     }
 
     #[test]
-    fn wide_short_problems_split_the_jc_loop_bit_identically() {
-        // m fits a single ic block while n spans many jc blocks, so the
-        // driver takes the jc-parallel path; it must agree bit-for-bit with
-        // the sequential run for any thread count.
+    fn threaded_runs_split_the_longer_side_bit_identically() {
+        // (what, m, n, k): wide-short and tall-skinny problems span many
+        // jc or ic blocks; the last fits one mc x nc block (ResNet50's
+        // stage-5 class), so only a sub-block split can thread it.
+        let shapes = [("wide-short", 8, 200, 33), ("tall-skinny", 200, 8, 33), ("one block", 25, 90, 40)];
         let kernel = neon_intrinsics_kernel();
-        let blocking = BlockingParams { mc: 32, kc: 16, nc: 24, mr: kernel.mr, nr: kernel.nr };
-        let a = Matrix::from_fn(8, 33, |i, j| ((i * 5 + j * 7 + 1) % 11) as f32 * 0.25 - 1.0);
-        let b = Matrix::from_fn(33, 200, |i, j| ((i * 3 + j * 13 + 2) % 17) as f32 * 0.125 - 1.0);
-        let c0 = Matrix::from_fn(8, 200, |i, j| ((i + j) % 5) as f32 * 0.5);
-        let mut c_seq = c0.clone();
-        BlisGemm::new(blocking)
-            .gemm_with(&kernel, GemmProblem::new(a.view(), b.view(), c_seq.view_mut()))
-            .unwrap();
-        for threads in [2usize, 3, 8] {
-            let mut c_par = c0.clone();
-            BlisGemm::new(blocking)
-                .with_threads(threads)
-                .gemm_with(&kernel, GemmProblem::new(a.view(), b.view(), c_par.view_mut()))
-                .unwrap();
-            assert_eq!(c_seq.data, c_par.data, "jc split with {threads} threads");
-        }
-        // And it is actually correct, not just self-consistent.
-        let mut c_ref = c0.clone();
-        naive_gemm(&a, &b, &mut c_ref);
-        for idx in 0..c_seq.data.len() {
-            assert!((c_seq.data[idx] - c_ref.data[idx]).abs() < 1e-3);
+        let blocking = BlockingParams { mc: 32, kc: 16, nc: 96, mr: kernel.mr, nr: kernel.nr };
+        // C layouts over one buffer: (what, buffer length, view of it).
+        type Layout = (&'static str, fn(usize, usize) -> usize, fn(&mut [f32], usize, usize) -> MatMut<'_>);
+        let layouts: [Layout; 3] = [
+            ("row-major", |m, n| m * n, |d, m, n| MatMut::from_slice(d, m, n)),
+            ("col-major", |m, n| m * n, |d, m, n| MatMut::col_major(d, m, n)),
+            (
+                "padded submatrix",
+                |m, n| (m + 3) * (n + 5),
+                |d, m, n| MatMut::with_strides(d, m + 3, n + 2, n + 5, 1).submatrix(2, 1, m, n),
+            ),
+        ];
+        for (what, m, n, k) in shapes {
+            let a = Matrix::from_fn(m, k, |i, j| ((i * 5 + j * 7 + 1) % 11) as f32 * 0.25 - 1.0);
+            let b = Matrix::from_fn(k, n, |i, j| ((i * 3 + j * 13 + 2) % 17) as f32 * 0.125 - 1.0);
+            let (extent, tile) = if m >= n { (m, kernel.mr) } else { (n, kernel.nr) };
+            for (layout, len, view) in layouts {
+                let c0: Vec<f32> = (0..len(m, n)).map(|x| (x % 5) as f32 * 0.5).collect();
+                let run = |threads: usize| {
+                    let mut c = c0.clone();
+                    let problem =
+                        GemmProblem::new(a.view(), b.view(), view(&mut c, m, n)).alpha(0.5).beta(1.5);
+                    let stats =
+                        BlisGemm::new(blocking).with_threads(threads).gemm_with(&kernel, problem).unwrap();
+                    (c, stats.threads)
+                };
+                let (c_seq, one) = run(1);
+                assert_eq!(one, 1);
+                for threads in [2usize, 3, 8] {
+                    let (c_par, used) = run(threads);
+                    assert_eq!(c_seq, c_par, "{what}, {layout} C, {threads} threads");
+                    assert_eq!(used, threads.min(extent.div_ceil(tile)), "{what}, {layout} C: worker count");
+                }
+                // And it is actually correct, not just self-consistent.
+                let mut c_ref = c0.clone();
+                NaiveGemm
+                    .gemm(GemmProblem::new(a.view(), b.view(), view(&mut c_ref, m, n)).alpha(0.5).beta(1.5))
+                    .unwrap();
+                for (idx, (x, y)) in c_seq.iter().zip(&c_ref).enumerate() {
+                    assert!((x - y).abs() < 1e-3, "{what}, {layout} C at {idx}: {x} vs {y}");
+                }
+            }
         }
     }
 

@@ -27,6 +27,7 @@
 //!   harnesses.
 
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod algorithm;
 pub mod baselines;

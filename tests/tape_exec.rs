@@ -282,15 +282,15 @@ fn arena_driver_is_bit_identical_to_a_reused_dirty_runner() {
 }
 
 /// `threads = 1` and `threads = N` produce identical `C` on the SIMD
-/// default: the `ic` blocks write disjoint row ranges, each computed in
-/// the same order — the chain is deterministic, so even the contracted
-/// FMAs agree bit-for-bit across thread counts.
+/// default: tall problems are split into disjoint `mr`-aligned row ranges,
+/// each computed in the same order — the chain is deterministic, so even
+/// the contracted FMAs agree bit-for-bit across thread counts.
 #[test]
 fn thread_count_never_changes_the_result() {
     let generator = MicroKernelGenerator::new(neon_f32());
     let kernel = Arc::new(generator.generate(8, 12).unwrap());
     let mut cases = Cases::new(0xbeef);
-    // Small mc so even modest m yields many ic blocks to spread over workers.
+    // Small mc so every worker's row range spans several ic blocks.
     let blocking = BlockingParams { mc: 8, kc: 16, nc: 36, mr: 8, nr: 12 };
     for &(m, n, k) in &[(96usize, 60usize, 33usize), (70, 25, 9)] {
         let a = Matrix::from_fn(m, k, |_, _| cases.f32_unit());
@@ -314,10 +314,10 @@ fn thread_count_never_changes_the_result() {
     }
 }
 
-/// Wide-and-short problems take the `jc` column split instead of the `ic`
-/// row split; across fringe-heavy shapes, every backend tier, and 1–7
-/// threads the split must stay bit-identical to that tier's sequential
-/// run and match the naive reference.
+/// Wide-and-short problems split their columns (the longer side) into
+/// `nr`-aligned ranges instead of their rows; across fringe-heavy shapes,
+/// every backend tier, and 1–7 threads the split must stay bit-identical
+/// to that tier's sequential run and match the naive reference.
 #[test]
 fn jc_split_is_bit_identical_across_backends_and_thread_counts() {
     let generator = MicroKernelGenerator::new(neon_f32());
